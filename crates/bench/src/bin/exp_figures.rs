@@ -68,7 +68,7 @@ fn main() {
         &to_dot(
             &gc,
             &DotOptions {
-                highlight: members.clone(),
+                highlight: members.to_vec(),
                 ..DotOptions::default()
             },
         ),

@@ -9,19 +9,134 @@
 
 use crate::graph::{Cdag, VertexId};
 use crate::view::CdagView;
-use std::collections::HashMap;
 
 /// Identifier of a meta-vertex: the dense id of its *root* — the unique
 /// member all other members are copies of (the member of smallest rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MetaId(pub u32);
 
+/// A partition of the vertices into groups, each named by its smallest
+/// member (`label[v] ≤ v` and `label[label[v]] == label[v]`), stored as a
+/// compact CSR table: only groups of two or more members are listed.
+///
+/// `names` holds the sorted names of those groups and
+/// `members[offsets[i]..offsets[i + 1]]` the members of group `names[i]`
+/// in ascending id order, the name first. A singleton `v` is served as
+/// `slice::from_ref(&label[v])`, so beyond `label` the table costs
+/// O(#grouped vertices), not O(|V|).
+pub(crate) struct Groups {
+    label: Vec<VertexId>,
+    names: Vec<VertexId>,
+    offsets: Vec<u32>,
+    members: Vec<VertexId>,
+}
+
+impl Groups {
+    /// Groups the vertices by `label` (one entry per vertex).
+    pub(crate) fn new(label: Vec<VertexId>) -> Groups {
+        // (name, member) for every vertex that is not its group's name;
+        // sorting the pairs lists each group's members in ascending order.
+        let mut pairs: Vec<(VertexId, VertexId)> = label
+            .iter()
+            .enumerate()
+            .filter(|&(i, l)| l.idx() != i)
+            .map(|(i, &l)| (l, VertexId(i as u32)))
+            .collect();
+        pairs.sort_unstable();
+        let (mut names, mut offsets) = (Vec::new(), Vec::new());
+        let mut members = Vec::with_capacity(pairs.len());
+        for (name, v) in pairs {
+            if names.last() != Some(&name) {
+                debug_assert!(name < v && label[name.idx()] == name, "bad group name");
+                offsets.push(members.len() as u32);
+                names.push(name);
+                members.push(name);
+            }
+            members.push(v);
+        }
+        offsets.push(members.len() as u32);
+        Groups {
+            label,
+            names,
+            offsets,
+            members,
+        }
+    }
+
+    /// The name of `v`'s group.
+    pub(crate) fn label(&self, v: VertexId) -> VertexId {
+        self.label[v.idx()]
+    }
+
+    /// The members of `v`'s group, name first, the rest ascending.
+    pub(crate) fn members_of(&self, v: VertexId) -> &[VertexId] {
+        let name = &self.label[v.idx()];
+        match self.names.binary_search(name) {
+            Ok(i) => &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            Err(_) => std::slice::from_ref(name),
+        }
+    }
+
+    /// Every vertex lying in a group of two or more members.
+    pub(crate) fn grouped(&self) -> &[VertexId] {
+        &self.members
+    }
+
+    /// Number of groups, singletons included.
+    pub(crate) fn count(&self) -> usize {
+        self.label
+            .iter()
+            .enumerate()
+            .filter(|&(i, l)| l.idx() == i)
+            .count()
+    }
+
+    /// The group closure of `set`: every member of every group `set`
+    /// touches, sorted (groups are disjoint, so no duplicates).
+    pub(crate) fn closure(&self, set: &[VertexId]) -> Vec<VertexId> {
+        let mut names: Vec<VertexId> = set.iter().map(|&v| self.label(v)).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut out = Vec::with_capacity(names.len());
+        for name in names {
+            out.extend_from_slice(self.members_of(name));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Fills `out` with `tag(name)` for every group adjacent to the sorted,
+    /// group-closed vertex list `closure` but outside it, sorted and
+    /// deduplicated. Walks the closure's adjacency only.
+    pub(crate) fn boundary_into<V: CdagView, T: Ord>(
+        &self,
+        g: &V,
+        closure: &[VertexId],
+        tag: impl Fn(VertexId) -> T,
+        out: &mut Vec<T>,
+    ) {
+        out.clear();
+        let mut adj = Vec::new();
+        for &v in closure {
+            adj.clear();
+            g.preds_into(v, &mut adj);
+            g.succs_into(v, &mut adj);
+            for &w in &adj {
+                if closure.binary_search(&w).is_err() {
+                    out.push(tag(self.label(w)));
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
 /// The meta-vertex structure of a CDAG.
 pub struct MetaVertices {
-    /// For each vertex, the root of its meta-vertex.
-    root: Vec<u32>,
-    /// Members of each nontrivial meta-vertex (singletons omitted).
-    members: HashMap<u32, Vec<VertexId>>,
+    /// Each vertex's root, and the members of every nontrivial
+    /// meta-vertex (singletons omitted).
+    groups: Groups,
 }
 
 impl MetaVertices {
@@ -40,7 +155,7 @@ impl MetaVertices {
     /// (equivalence-tested in `mmio-integration`).
     pub fn compute_view<V: CdagView>(g: &V) -> MetaVertices {
         let n = g.n_vertices();
-        let mut root: Vec<u32> = (0..n as u32).collect();
+        let mut root: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         // Dense order is topological, so a copy's parent already has its
         // final root when we visit the copy: one pass suffices.
         for i in 0..n as u32 {
@@ -48,22 +163,14 @@ impl MetaVertices {
                 root[i as usize] = root[p.idx()];
             }
         }
-        let mut members: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        for i in 0..n as u32 {
-            let rt = root[i as usize];
-            if rt != i {
-                members
-                    .entry(rt)
-                    .or_insert_with(|| vec![VertexId(rt)])
-                    .push(VertexId(i));
-            }
+        MetaVertices {
+            groups: Groups::new(root),
         }
-        MetaVertices { root, members }
     }
 
     /// The meta-vertex containing `v`.
     pub fn meta_of(&self, v: VertexId) -> MetaId {
-        MetaId(self.root[v.idx()])
+        MetaId(self.groups.label(v).0)
     }
 
     /// The root vertex of a meta-vertex (the original, non-copy value).
@@ -71,84 +178,68 @@ impl MetaVertices {
         VertexId(m.0)
     }
 
-    /// All members of the meta-vertex containing `v` (including `v`).
-    /// Singleton meta-vertices are returned without allocation lookups.
-    pub fn members_of(&self, v: VertexId) -> Vec<VertexId> {
-        let rt = self.root[v.idx()];
-        match self.members.get(&rt) {
-            Some(ms) => ms.clone(),
-            None => vec![VertexId(rt)],
-        }
+    /// All members of the meta-vertex containing `v` (including `v`): the
+    /// root first, the copies in ascending id order. Allocation-free.
+    pub fn members_of(&self, v: VertexId) -> &[VertexId] {
+        self.groups.members_of(v)
     }
 
     /// Whether `v` is *duplicated*: its meta-vertex has more than one member.
     pub fn is_duplicated(&self, v: VertexId) -> bool {
-        self.members.contains_key(&self.root[v.idx()])
+        self.size_of(v) > 1
     }
 
     /// Size of the meta-vertex containing `v`.
     pub fn size_of(&self, v: VertexId) -> usize {
-        self.members
-            .get(&self.root[v.idx()])
-            .map_or(1, |ms| ms.len())
+        self.members_of(v).len()
     }
 
     /// Number of distinct meta-vertices in the graph.
-    pub fn count<V: CdagView>(&self, g: &V) -> usize {
-        let n = g.n_vertices();
-        (0..n as u32)
-            .filter(|&i| self.root[i as usize] == i) // audit: safe — root is sized n_vertices
-            .count()
+    pub fn count(&self) -> usize {
+        self.groups.count()
     }
 
     /// Whether any meta-vertex branches (multiple copying): some member has
     /// two or more copy-children, i.e. the meta-vertex is a tree, not a chain.
     pub fn has_multiple_copying<V: CdagView>(&self, g: &V) -> bool {
         let mut succs = Vec::new();
-        for ms in self.members.values() {
-            for &v in ms {
-                succs.clear();
-                g.succs_into(v, &mut succs);
-                let copy_children = succs
-                    .iter()
-                    .filter(|&&s| self.root[s.idx()] == self.root[v.idx()])
-                    .count();
-                if copy_children >= 2 {
-                    return true;
-                }
-            }
-        }
-        false
+        self.groups.grouped().iter().any(|&v| {
+            succs.clear();
+            g.succs_into(v, &mut succs);
+            let root = self.groups.label(v);
+            succs
+                .iter()
+                .filter(|&&s| self.groups.label(s) == root)
+                .count()
+                >= 2
+        })
+    }
+
+    /// The meta-closure of `set`: every member of every meta-vertex `set`
+    /// touches, sorted and deduplicated. Costs O(|closure| log |closure|).
+    pub fn closure(&self, set: &[VertexId]) -> Vec<VertexId> {
+        self.groups.closure(set)
+    }
+
+    /// Fills `out` with the meta-vertices adjacent to `closure` (a sorted
+    /// meta-closure, as [`MetaVertices::closure`] returns) and not in it,
+    /// sorted. Walks only the closure's adjacency: O(|closure|·deg ·
+    /// log |closure|), independent of |V|.
+    pub fn closure_boundary_into<V: CdagView>(
+        &self,
+        g: &V,
+        closure: &[VertexId],
+        out: &mut Vec<MetaId>,
+    ) {
+        self.groups.boundary_into(g, closure, |r| MetaId(r.0), out);
     }
 
     /// Meta-vertices adjacent to the meta-closure of `set` that are not in it
     /// — the paper's `δ'(S')` (Definition 1, meta form). `set` is given as
     /// vertices; its meta-closure is taken automatically.
     pub fn meta_boundary<V: CdagView>(&self, g: &V, set: &[VertexId]) -> Vec<MetaId> {
-        let mut in_set = vec![false; g.n_vertices()];
-        // Meta-closure: mark every member of every touched meta-vertex.
-        for &v in set {
-            for m in self.members_of(v) {
-                in_set[m.idx()] = true;
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut adj = Vec::new();
-        for i in 0..in_set.len() as u32 {
-            if !in_set[i as usize] {
-                continue;
-            }
-            adj.clear();
-            g.preds_into(VertexId(i), &mut adj);
-            g.succs_into(VertexId(i), &mut adj);
-            for &w in &adj {
-                if !in_set[w.idx()] {
-                    seen.insert(self.meta_of(w));
-                }
-            }
-        }
-        let mut out: Vec<MetaId> = seen.into_iter().collect();
-        out.sort();
+        let mut out = Vec::new();
+        self.closure_boundary_into(g, &self.closure(set), &mut out);
         out
     }
 }
@@ -220,7 +311,7 @@ mod tests {
             assert_eq!(meta.meta_of(v), MetaId(v.0));
         }
         assert!(!meta.has_multiple_copying(&g));
-        assert_eq!(meta.count(&g), g.n_vertices());
+        assert_eq!(meta.count(), g.n_vertices());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn profile(g: &Cdag) -> CdagProfile {
         rank_sizes,
         max_in_degree: max_in,
         max_out_degree: max_out,
-        meta_vertices: meta.count(g),
+        meta_vertices: meta.count(),
         duplicated_vertices: duplicated,
         max_meta_size: max_meta,
     }

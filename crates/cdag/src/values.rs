@@ -14,7 +14,7 @@
 //! encodings and products, which we detect via identical operand classes.
 
 use crate::graph::{Cdag, Layer, VertexId};
-use crate::meta::MetaVertices;
+use crate::meta::{Groups, MetaVertices};
 use mmio_matrix::Rational;
 use std::collections::HashMap;
 
@@ -24,8 +24,9 @@ pub struct ClassId(pub u32);
 
 /// The value-class partition of a CDAG.
 pub struct ValueClasses {
-    class: Vec<u32>,
-    members: HashMap<u32, Vec<VertexId>>,
+    /// Each vertex's class, and the members of every class of two or more
+    /// vertices (the same compact CSR table [`MetaVertices`] uses).
+    classes: Groups,
 }
 
 impl ValueClasses {
@@ -97,26 +98,24 @@ impl ValueClasses {
             }
         }
 
-        let mut members: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        for v in g.vertices() {
-            members.entry(class[v.idx()]).or_default().push(v);
+        ValueClasses {
+            classes: Groups::new(class.into_iter().map(VertexId).collect()),
         }
-        ValueClasses { class, members }
     }
 
     /// The class of a vertex.
     pub fn class_of(&self, v: VertexId) -> ClassId {
-        ClassId(self.class[v.idx()])
+        ClassId(self.classes.label(v).0)
     }
 
-    /// All members of `v`'s class (including `v`).
+    /// All members of `v`'s class (including `v`), in ascending id order.
     pub fn members_of(&self, v: VertexId) -> &[VertexId] {
-        &self.members[&self.class[v.idx()]]
+        self.classes.members_of(v)
     }
 
     /// Number of distinct classes.
     pub fn count(&self) -> usize {
-        self.members.len()
+        self.classes.count()
     }
 
     /// Whether any class has more members than its meta-vertex would —
@@ -129,27 +128,13 @@ impl ValueClasses {
     }
 
     /// Value classes adjacent to the class-closure of `set` but not in it —
-    /// the generalized `δ'` of the paper's Section 8.
+    /// the generalized `δ'` of the paper's Section 8. Walks only the
+    /// closure's adjacency, never all of V.
     pub fn class_boundary(&self, g: &Cdag, set: &[VertexId]) -> Vec<ClassId> {
-        let mut in_set = vec![false; g.n_vertices()];
-        for &v in set {
-            for &w in self.members_of(v) {
-                in_set[w.idx()] = true;
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for v in g.vertices() {
-            if !in_set[v.idx()] {
-                continue;
-            }
-            for &w in g.preds(v).iter().chain(g.succs(v)) {
-                if !in_set[w.idx()] {
-                    seen.insert(self.class_of(w));
-                }
-            }
-        }
-        let mut out: Vec<ClassId> = seen.into_iter().collect();
-        out.sort();
+        let mut out = Vec::new();
+        let closure = self.classes.closure(set);
+        self.classes
+            .boundary_into(g, &closure, |c| ClassId(c.0), &mut out);
         out
     }
 }
@@ -243,11 +228,11 @@ mod tests {
         let vc = ValueClasses::compute(&g);
         let meta = MetaVertices::compute(&g);
         for v in g.vertices() {
-            for w in meta.members_of(v) {
+            for &w in meta.members_of(v) {
                 assert_eq!(vc.class_of(w), vc.class_of(v));
             }
         }
-        assert!(vc.count() <= meta.count(&g));
+        assert!(vc.count() <= meta.count());
     }
 
     #[test]

@@ -255,6 +255,21 @@ fn certify_golden_across_views_and_threads() {
 }
 
 #[test]
+#[ignore = "large: Theorem-1 certificate at r = 8 (~40M vertices; ~20 s and ~0.6 GB on a 2-core host)"]
+fn certify_r8_headline() {
+    // The deepest Theorem-1 certificate the closure-local segment
+    // analysis reaches, on the default view. Run with
+    // `cargo test --release -p mmio-cli -- --ignored certify_r8`.
+    let out = mmio(&["certify", "strassen", "8", "64"]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "n = 256, M = 64: 7203 complete segments, certified I/O ≥ 7537408\n\
+         (k = 4, feasible = true, disjoint subcomputations = 2401 ≥ target 49)\n"
+    );
+}
+
+#[test]
 fn simulate_identical_across_views() {
     let explicit = mmio(&["--view", "explicit", "simulate", "strassen", "3", "64"]);
     let implicit = mmio(&["--view", "implicit", "simulate", "strassen", "3", "64"]);

@@ -16,33 +16,50 @@
 //! is another independent soundness witness for the scheduler.
 
 use mmio_cdag::{Cdag, VertexId};
+use std::collections::HashSet;
 
 /// Vertex-capacity max-flow on a CDAG from the inputs to `targets`:
 /// the size of the minimum dominator of `targets` (Menger).
 ///
 /// Every vertex is split into in/out nodes with capacity 1 (inputs and
 /// targets included — a dominator may use any vertex, including an input
-/// or a target itself).
+/// or a target itself). Every input→target path runs inside the targets'
+/// ancestor cone, so the network is built on the cone alone: the cost
+/// follows the cone, not |V|.
 pub fn min_dominator_size(g: &Cdag, targets: &[VertexId]) -> usize {
-    // Node numbering: vertex v → in = 2v, out = 2v+1; source = 2n,
+    let cone = ancestors(g, targets);
+    let node = |v: &VertexId| cone.binary_search(v).ok();
+    // Node numbering: cone vertex i → in = 2i, out = 2i+1; source = 2n,
     // sink = 2n+1.
-    let n = g.n_vertices();
+    let n = cone.len();
     let source = 2 * n;
     let sink = 2 * n + 1;
     let mut flow = MaxFlow::new(2 * n + 2);
-    for v in g.vertices() {
-        flow.add_edge(2 * v.idx(), 2 * v.idx() + 1, 1); // vertex capacity
-        for &s in g.succs(v) {
-            flow.add_edge(2 * v.idx() + 1, 2 * s.idx(), usize::MAX / 4);
+    for (i, &v) in cone.iter().enumerate() {
+        flow.add_edge(2 * i, 2 * i + 1, 1); // vertex capacity
+        for j in g.succs(v).iter().filter_map(node) {
+            flow.add_edge(2 * i + 1, 2 * j, usize::MAX / 4);
         }
         if g.is_input(v) {
-            flow.add_edge(source, 2 * v.idx(), usize::MAX / 4);
+            flow.add_edge(source, 2 * i, usize::MAX / 4);
         }
     }
-    for &t in targets {
-        flow.add_edge(2 * t.idx() + 1, sink, usize::MAX / 4);
+    for i in targets.iter().filter_map(node) {
+        flow.add_edge(2 * i + 1, sink, usize::MAX / 4);
     }
     flow.max_flow(source, sink)
+}
+
+/// `targets` and every vertex with a path into them, sorted.
+fn ancestors(g: &Cdag, targets: &[VertexId]) -> Vec<VertexId> {
+    let mut seen: HashSet<VertexId> = targets.iter().copied().collect();
+    let mut stack: Vec<VertexId> = seen.iter().copied().collect();
+    while let Some(v) = stack.pop() {
+        stack.extend(g.preds(v).iter().filter(|&&p| seen.insert(p)));
+    }
+    let mut cone: Vec<VertexId> = seen.into_iter().collect();
+    cone.sort_unstable();
+    cone
 }
 
 /// A minimal Dinic max-flow (unit-ish capacities, graphs of ~10⁵ edges).
@@ -139,10 +156,24 @@ pub fn verify_dominator_bound(
     m: usize,
 ) -> (usize, usize) {
     let mut worst = (0usize, 0usize);
+    let mut read_set: Vec<VertexId> = Vec::new();
     for chunk in order.chunks(segment_len) {
         let dom = min_dominator_size(g, chunk);
-        let mask = crate::boundary::mask_of(g, chunk);
-        let reads = crate::boundary::read_set(g, &mask).len();
+        // |R(T)|: predecessors outside the chunk, found by binary search
+        // in the sorted chunk.
+        let mut members = chunk.to_vec();
+        members.sort_unstable();
+        read_set.clear();
+        for &v in chunk {
+            read_set.extend(
+                g.preds(v)
+                    .iter()
+                    .filter(|p| members.binary_search(p).is_err()),
+            );
+        }
+        read_set.sort_unstable();
+        read_set.dedup();
+        let reads = read_set.len();
         assert!(
             dom <= reads + m + chunk.len(),
             "dominator {dom} exceeds reads {reads} + M {m} + |T| {}",

@@ -11,6 +11,7 @@
 //! cache / allowed to stay), so each complete segment costs at least `M`
 //! I/Os.
 
+use mmio_cdag::meta::MetaId;
 use mmio_cdag::{index, Cdag, CdagView, Layer, MetaVertices, VertexId, VertexRef};
 use mmio_parallel::Pool;
 use serde::Serialize;
@@ -142,69 +143,71 @@ pub fn analyze<V: CdagView + Sync>(
 
 /// One segment's boundary and I/O quantities. `vs = order[start..end]` is
 /// the segment's computed vertices; `pos` maps every vertex to its position
-/// in the order (`u64::MAX` for inputs).
+/// in the order (`u32::MAX` for inputs).
+///
+/// Works on the segment's sorted meta-closure only: membership is a binary
+/// search in it, so the cost is O(|closure|·deg·log |closure|) with no |V|
+/// term.
 fn segment_report<V: CdagView>(
     g: &V,
     meta: &MetaVertices,
-    pos: &[u64],
+    pos: &[u32],
     vs: &[VertexId],
     (start, end, counted_n, complete): (usize, usize, u64, bool),
 ) -> SegmentReport {
-    // Meta-closure membership mask.
-    let mut in_closure = vec![false; g.n_vertices()];
-    for &v in vs {
-        for w in meta.members_of(v) {
-            in_closure[w.idx()] = true;
-        }
-    }
+    let closure = meta.closure(vs);
+    let outside = |w: &VertexId| closure.binary_search(w).is_err();
+    // One buffer collects, in turn, each of the three meta sets.
+    let mut metas: Vec<MetaId> = Vec::new();
     // δ'(S'): outside metas adjacent in either direction (Equation 2).
-    let boundary = meta.meta_boundary(g, vs).len() as u64;
+    meta.closure_boundary_into(g, &closure, &mut metas);
+    let boundary = metas.len() as u64;
     // R'(S'): outside metas feeding vertices *computed in this
     // segment*. (Not the whole closure: a closure member computed in an
     // earlier segment needed its operands then, not now — charging them
     // again here would double-count loads and break soundness.)
-    let mut read_roots = std::collections::HashSet::new();
+    metas.clear();
     let mut adj: Vec<VertexId> = Vec::new();
     for &v in vs {
         adj.clear();
         g.preds_into(v, &mut adj);
-        for &p in &adj {
-            if !in_closure[p.idx()] {
-                read_roots.insert(meta.meta_of(p));
-            }
-        }
+        metas.extend(adj.iter().filter(|p| outside(p)).map(|&p| meta.meta_of(p)));
     }
+    metas.sort_unstable();
+    metas.dedup();
+    let read_metas = metas.len() as u64;
     // W°(S'): metas whose root is computed in this segment and that are
     // used after it (some member has a successor computed at position
     // ≥ end) or contain an output (which must eventually be stored).
-    let end_pos = end as u64;
-    let mut write_roots = std::collections::HashSet::new();
-    for &v in vs {
-        let root = meta.root_vertex(meta.meta_of(v));
-        let rp = pos[root.idx()];
-        if rp == u64::MAX || rp < start as u64 || rp >= end_pos {
-            continue; // root is an input or computed in another segment
-        }
-        let needed_later = meta.members_of(root).into_iter().any(|member| {
+    let (start_pos, end_pos) = (start as u32, end as u32);
+    metas.clear();
+    // Skip roots that are inputs (`u32::MAX`) or computed in another
+    // segment, then scan each remaining meta-vertex once.
+    metas.extend(
+        vs.iter()
+            .map(|&v| meta.meta_of(v))
+            .filter(|&m| (start_pos..end_pos).contains(&pos[meta.root_vertex(m).idx()])),
+    );
+    metas.sort_unstable();
+    metas.dedup();
+    metas.retain(|&m| {
+        meta.members_of(meta.root_vertex(m)).iter().any(|&member| {
             if g.is_output(member) {
                 return true;
             }
             adj.clear();
             g.succs_into(member, &mut adj);
             adj.iter()
-                .any(|&s| pos[s.idx()] != u64::MAX && pos[s.idx()] >= end_pos)
-        });
-        if needed_later {
-            write_roots.insert(meta.meta_of(root));
-        }
-    }
+                .any(|&s| pos[s.idx()] != u32::MAX && pos[s.idx()] >= end_pos)
+        })
+    });
     SegmentReport {
         start,
         end,
         counted: counted_n,
         meta_boundary: boundary,
-        read_metas: read_roots.len() as u64,
-        write_metas: write_roots.len() as u64,
+        read_metas,
+        write_metas: metas.len() as u64,
         complete,
     }
 }
@@ -213,7 +216,7 @@ fn segment_report<V: CdagView>(
 ///
 /// Two phases: the segment *boundaries* come from a serial scan of the
 /// order (the running counted-vertex counter is inherently sequential), and
-/// then each segment's report — closure mask, `δ'(S')`, `R'(S')`, `W°(S')`,
+/// then each segment's report — meta-closure, `δ'(S')`, `R'(S')`, `W°(S')`,
 /// the expensive part — is computed independently. [`Pool::map`] returns
 /// results in segment order, so the analysis is byte-identical to the
 /// serial path at any thread count.
@@ -230,10 +233,11 @@ pub fn analyze_with<V: CdagView + Sync>(
 ) -> SegmentAnalysis {
     let n = g.n_vertices();
     // Position of each vertex's computation; inputs get position MAX-as-
-    // "before everything" sentinel handled separately.
-    let mut pos = vec![u64::MAX; n];
+    // "before everything" sentinel handled separately. Positions fit in
+    // `u32` because vertex ids do.
+    let mut pos = vec![u32::MAX; n];
     for (i, &v) in order.iter().enumerate() {
-        pos[v.idx()] = i as u64;
+        pos[v.idx()] = i as u32;
     }
 
     // Phase 1 (serial): find the segment boundaries.
@@ -244,7 +248,7 @@ pub fn analyze_with<V: CdagView + Sync>(
     for (i, &v) in order.iter().enumerate() {
         // Meta-closure: count every not-yet-counted counted-rank member of
         // v's meta-vertex.
-        for w in meta.members_of(v) {
+        for &w in meta.members_of(v) {
             if counted[w.idx()] && !counted_seen[w.idx()] {
                 counted_seen[w.idx()] = true;
                 counted_in_segment += 1;
