@@ -197,7 +197,7 @@ pub const AUDITED_FEATURES: &[&str] = &["mutate", "engine-mutate", "trace"];
 pub const RENDER_ROOTS: &[(&str, &str)] = &[
     ("mmio-serve", "to_line"),
     ("mmio-serve", "stats_payload"),
-    ("mmio-serve", "certify_text"),
+    ("mmio-serve", "certify"),
     ("mmio-serve", "analyze_json"),
     ("mmio-serve", "sweep_json"),
     ("mmio-serve", "routing_cert_json"),

@@ -35,7 +35,7 @@ fn model_size_snapshot() {
     let s = outcome().stats;
     assert_eq!(
         (s.files, s.fns, s.edges, s.sites),
-        (188, 1938, 5367, 2896),
+        (188, 1929, 5178, 2882),
         "model/graph size drifted: files={}, fns={}, edges={}, sites={}",
         s.files,
         s.fns,

@@ -33,7 +33,7 @@ use mmio_algos::strassen::{strassen, winograd};
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
-use mmio_core::theorem1::{certify_pooled, certify_pooled_view, CertifyParams};
+use mmio_core::theorem1::{certify_pooled, CertifyParams};
 use mmio_core::transport::RoutingClass;
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
@@ -200,13 +200,13 @@ fn main() {
         let (implicit_cert, implicit) = measured(|| {
             let v = IndexView::from_base(base, r);
             let order = recursive_order(&v);
-            certify_pooled_view(base, &v, m, &order, CertifyParams::SMALL, &pool)
+            certify_pooled(base, &v, m, &order, CertifyParams::SMALL, &pool)
         });
         let explicit = run_explicit.then(|| {
             measured(|| {
                 let g = build_cdag(base, r);
                 let order = recursive_order(&g);
-                certify_pooled(&g, m, &order, CertifyParams::SMALL, &pool)
+                certify_pooled(base, &g, m, &order, CertifyParams::SMALL, &pool)
             })
         });
 

@@ -75,13 +75,9 @@ fn op_for(i: u64) -> Op {
 fn batch_payload(i: u64) -> String {
     let pool = Pool::serial();
     match op_for(i) {
-        Op::Certify { algo, r, m } => ops::certify_text(
-            &ops::resolve_registry(&algo).unwrap(),
-            r,
-            m,
-            ops::ViewMode::Auto,
-            &pool,
-        ),
+        Op::Certify { algo, r, m } => {
+            ops::certify(&ops::resolve_registry(&algo).unwrap(), r, m, &pool)
+        }
         Op::Analyze { algo, r } => ops::analyze_json(&ops::resolve_registry(&algo).unwrap(), r).0,
         Op::Sweep { algo, r, ms } => {
             ops::sweep_json(&ops::resolve_registry(&algo).unwrap(), r, &ms, &pool)

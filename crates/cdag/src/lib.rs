@@ -70,4 +70,4 @@ pub use base::BaseGraph;
 pub use csr::Csr;
 pub use graph::{Cdag, Layer, VertexId, VertexRef};
 pub use meta::MetaVertices;
-pub use view::{CdagView, ExplicitView, IndexView, ViewError};
+pub use view::{CdagView, IndexView, ViewError};

@@ -7,7 +7,7 @@
 //! upward-branching subtree rooted at the original value (an input, for
 //! base graphs satisfying the single-use assumption) under multiple copying.
 
-use crate::graph::{Cdag, VertexId};
+use crate::graph::VertexId;
 use crate::view::CdagView;
 
 /// Identifier of a meta-vertex: the dense id of its *root* — the unique
@@ -140,20 +140,15 @@ pub struct MetaVertices {
 }
 
 impl MetaVertices {
-    /// Computes the meta-vertex grouping of `g`.
+    /// Computes the meta-vertex grouping of `g`, on any [`CdagView`] (the
+    /// copy condition and grouping are identical for the materialized and
+    /// closed-form views; equivalence-tested in `mmio-integration`).
     ///
     /// A vertex is a copy when its level's base-graph row (encoding row `τ`
     /// at encoding ranks, decoding row `υ` at decoding ranks) is trivial:
     /// one nonzero coefficient equal to 1. Copies are united with their
     /// single parent; roots are the non-copy vertices.
-    pub fn compute(g: &Cdag) -> MetaVertices {
-        MetaVertices::compute_view(g)
-    }
-
-    /// [`MetaVertices::compute`] over any [`CdagView`] — the copy condition
-    /// and grouping are identical for the explicit and closed-form views
-    /// (equivalence-tested in `mmio-integration`).
-    pub fn compute_view<V: CdagView>(g: &V) -> MetaVertices {
+    pub fn compute<V: CdagView>(g: &V) -> MetaVertices {
         let n = g.n_vertices();
         let mut root: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         // Dense order is topological, so a copy's parent already has its
@@ -166,6 +161,12 @@ impl MetaVertices {
         MetaVertices {
             groups: Groups::new(root),
         }
+    }
+
+    /// [`MetaVertices::compute`] under its former view-only name, kept
+    /// only because the benchmark in `perfbench/` calls it.
+    pub fn compute_view<V: CdagView>(g: &V) -> MetaVertices {
+        MetaVertices::compute(g)
     }
 
     /// The meta-vertex containing `v`.

@@ -18,8 +18,8 @@
 //!   certificate verifier's model in `mmio-cert`, promoted here so engines
 //!   and verifier share one audited implementation — `mmio-cert::view`
 //!   re-exports it, keeping the verifier's trust base unchanged);
-//! - [`ExplicitView`], a zero-cost wrapper over a materialized [`Cdag`]
-//!   (the `Cdag` itself also implements [`CdagView`] directly).
+//! - the [`CdagView`] impl of the materialized [`Cdag`], which the
+//!   property tests use as the oracle for [`IndexView`].
 //!
 //! Everything in [`IndexView`] is checked: malformed shapes and id-space
 //! overflows surface as `Err`/`None`, never as panics, because certificate
@@ -75,18 +75,18 @@ pub fn count_vertices(a: u64, b: u64, r: u32) -> Option<u64> {
 
 /// Uniform lazy access to the structure of `G_r`.
 ///
-/// Implemented by the materialized [`Cdag`] (and [`ExplicitView`]) and by
-/// the closed-form [`IndexView`]. The contract is exact structural
-/// equivalence: for the same base and `r`, every method must return
-/// identical results across implementations (property-tested in
-/// `mmio-integration`), including the *order* of appended predecessors and
-/// successors — engines rely on it for deterministic output.
+/// Implemented by the materialized [`Cdag`] and by the closed-form
+/// [`IndexView`]. The contract is exact structural equivalence: for the
+/// same base and `r`, every method must return identical results across
+/// implementations (property-tested in `mmio-integration`), including the
+/// *order* of appended predecessors and successors — engines rely on it
+/// for deterministic output.
 ///
 /// Methods taking a [`VertexId`] assume `v.idx() < n_vertices()` unless
 /// documented otherwise; `preds_into`/`succs_into` report out-of-range ids
 /// by returning `false`.
 pub trait CdagView {
-    /// Recursion depth `r ≥ 1`.
+    /// Recursion depth `r ≥ 0`.
     fn r(&self) -> u32;
     /// `a = n₀²`.
     fn a(&self) -> usize;
@@ -245,58 +245,6 @@ impl CdagView for Cdag {
     }
 }
 
-/// A zero-cost [`CdagView`] borrowing a materialized [`Cdag`]. The `Cdag`
-/// itself implements the trait; this wrapper exists for call sites that
-/// want to name the explicit implementation symmetrically with
-/// [`IndexView`].
-#[derive(Clone, Copy)]
-pub struct ExplicitView<'a>(pub &'a Cdag);
-
-impl CdagView for ExplicitView<'_> {
-    fn r(&self) -> u32 {
-        Cdag::r(self.0)
-    }
-    fn a(&self) -> usize {
-        self.0.base().a()
-    }
-    fn b(&self) -> usize {
-        self.0.base().b()
-    }
-    fn n_vertices(&self) -> usize {
-        Cdag::n_vertices(self.0)
-    }
-    fn try_id(&self, v: VertexRef) -> Option<VertexId> {
-        CdagView::try_id(self.0, v)
-    }
-    fn try_vref(&self, v: VertexId) -> Option<VertexRef> {
-        CdagView::try_vref(self.0, v)
-    }
-    fn entry_width(&self, layer: Layer, level: u32) -> u64 {
-        Cdag::entry_width(self.0, layer, level)
-    }
-    fn preds_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        CdagView::preds_into(self.0, v, out)
-    }
-    fn succs_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        CdagView::succs_into(self.0, v, out)
-    }
-    fn is_input(&self, v: VertexId) -> bool {
-        Cdag::is_input(self.0, v)
-    }
-    fn is_output(&self, v: VertexId) -> bool {
-        Cdag::is_output(self.0, v)
-    }
-    fn rank_of(&self, v: VertexId) -> Option<u32> {
-        CdagView::rank_of(self.0, v)
-    }
-    fn max_indegree(&self) -> usize {
-        CdagView::max_indegree(self.0)
-    }
-    fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
-        Cdag::copy_parent(self.0, v)
-    }
-}
-
 /// Sparsity pattern of one coefficient matrix: per-row nonzero columns
 /// (for predecessor queries), per-column nonzero rows (for successor
 /// queries), and per-row triviality (exactly one nonzero, equal to 1 —
@@ -360,8 +308,9 @@ pub struct IndexView {
 
 impl IndexView {
     /// Builds the view from raw base matrices, validating shapes and the id
-    /// space. Rejects (never panics) on inconsistent matrix dimensions,
-    /// `r == 0`, or a graph that would not fit dense `u32` ids.
+    /// space. Rejects (never panics) on inconsistent matrix dimensions or a
+    /// graph that would not fit dense `u32` ids. `r == 0` is the degenerate
+    /// `G_0` (n = 1): two inputs and their product.
     pub fn new(
         n0: usize,
         enc_a: &Matrix<Rational>,
@@ -395,11 +344,6 @@ impl IndexView {
                 dec.cols(),
                 n0
             )));
-        }
-        if r == 0 {
-            return Err(ViewError::Params(
-                "recursion depth r must be at least 1".into(),
-            ));
         }
         let (au, bu) = (a as u64, b as u64);
         let mut seg_offsets = Vec::with_capacity(3 * (r as usize + 1) + 1);
@@ -806,8 +750,11 @@ impl IndexView {
     }
 
     /// Maximum in-degree over `G_r` (products always have 2; combination
-    /// vertices have their row's nonzero count).
+    /// vertices have their row's nonzero count, and `G_0` has none).
     pub fn max_indegree(&self) -> usize {
+        if self.r == 0 {
+            return 2;
+        }
         [
             2,
             self.enc_a.max_row_len(),
@@ -1075,7 +1022,10 @@ mod tests {
     #[test]
     fn rejects_bad_shapes_and_zero_r() {
         let g = tiny_base("classical2");
-        assert!(IndexView::new(g.n0(), g.enc(Side::A), g.enc(Side::B), g.dec(), 0).is_err());
+        // r = 0 is the degenerate G_0, accepted here; the certificate
+        // verifier rejects it in `mmio_cert::view::view_of`.
+        assert!(IndexView::new(g.n0(), g.enc(Side::A), g.enc(Side::B), g.dec(), 0).is_ok());
+        check_against_builder(&g, 0);
         // enc shapes no longer match n0².
         assert!(IndexView::new(3, g.enc(Side::A), g.enc(Side::B), g.dec(), 2).is_err());
     }

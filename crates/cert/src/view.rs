@@ -13,9 +13,17 @@ use crate::format::BaseSpec;
 pub use mmio_cdag::view::{checked_pow, IndexView, ViewError};
 
 /// Builds the closed-form view of `G_r` from an untrusted certificate
-/// [`BaseSpec`], validating shapes and the id space (never panics).
+/// [`BaseSpec`], validating shapes and the id space (never panics). A
+/// certificate needs `r ≥ 1`: the degenerate `G_0` is a `Params` reject,
+/// checked after the shapes so a malformed base still reports as one.
 pub fn view_of(spec: &BaseSpec, r: u32) -> Result<IndexView, ViewError> {
-    IndexView::new(spec.n0, &spec.enc_a, &spec.enc_b, &spec.dec, r)
+    let view = IndexView::new(spec.n0, &spec.enc_a, &spec.enc_b, &spec.dec, r)?;
+    if r == 0 {
+        return Err(ViewError::Params(
+            "recursion depth r must be at least 1".into(),
+        ));
+    }
+    Ok(view)
 }
 
 /// Re-checks the matrix-multiplication tensor identity

@@ -32,12 +32,10 @@
 //! parallel verification paths. Output is byte-identical at any thread
 //! count.
 //!
-//! The global flag `--view explicit|implicit|auto` (default: `auto`) picks
-//! the `G_r` representation for `simulate`, `certify`, `routing`, and
-//! `cert emit`: `explicit` materializes the graph, `implicit` runs on the
-//! closed-form [`mmio_cdag::IndexView`] (memory independent of `b^r`), and
-//! `auto` switches to the implicit view once the vertex count exceeds a
-//! fixed budget. Output is byte-identical across views wherever both run.
+//! `simulate`, `certify`, `routing … r` and `distsim` read `G_r` through
+//! the closed-form [`mmio_cdag::IndexView`] at every `r`, so its edge
+//! lists are never built; only `G_k` and the small graphs the `analyze`
+//! and `cert emit` witnesses replay are materialized.
 
 #![forbid(unsafe_code)]
 
@@ -48,17 +46,17 @@ use mmio_cdag::serialize;
 use mmio_cdag::{BaseGraph, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
-use mmio_core::transport::{verify_transported, verify_transported_view, RoutingClass};
+use mmio_core::transport::{verify_copies, RoutingClass};
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
 use mmio_pebble::{AutoScheduler, ViewGraph};
-use mmio_serve::ops::{self, use_implicit, ViewMode};
+use mmio_serve::ops;
 use std::process::ExitCode;
 
 fn print_usage() {
     eprintln!(
-        "usage: mmio [--threads N] [--view explicit|implicit|auto] <command> [args]\n\
+        "usage: mmio [--threads N] <command> [args]\n\
          commands:\n  \
          list\n  \
          info     <algo>\n  \
@@ -169,23 +167,6 @@ fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, String> {
     Ok(Some(n))
 }
 
-/// Strips a `--view MODE` flag (anywhere in the argument list); defaults
-/// to [`ViewMode::Auto`].
-fn extract_view(args: &mut Vec<String>) -> Result<ViewMode, String> {
-    let Some(i) = args.iter().position(|a| a == "--view") else {
-        return Ok(ViewMode::Auto);
-    };
-    let mode = match args.get(i + 1).map(String::as_str) {
-        Some("explicit") => ViewMode::Explicit,
-        Some("implicit") => ViewMode::Implicit,
-        Some("auto") => ViewMode::Auto,
-        Some(other) => return Err(format!("invalid --view '{other}'")),
-        None => return Err("missing value for --view".into()),
-    };
-    args.drain(i..=i + 1);
-    Ok(mode)
-}
-
 fn resolve(name: &str) -> Result<BaseGraph, CliError> {
     if let Some(base) = ops::resolve_registry(name) {
         return Ok(base);
@@ -213,14 +194,10 @@ fn parse<T: std::str::FromStr>(arg: Option<&String>, what: &str) -> Result<T, Cl
 ///
 /// The routing certificate only ever builds `G_k` (the transport into `G_r`
 /// is symbolic), so it is cheap at any `r`. The schedule and sweep witnesses
-/// replay explicit schedules, so under the implicit view their depth is
-/// additionally capped at 4 — the routing certificate is the scaling story.
-fn emit_certs_for(
-    base: &BaseGraph,
-    r: u32,
-    pool: &Pool,
-    implicit: bool,
-) -> Vec<(String, mmio_cert::Certificate)> {
+/// replay explicit schedules on a materialized graph, so once `G_r` exceeds
+/// [`ops::SCHEDULE_VERTEX_BUDGET`] vertices their depth is additionally
+/// capped at 4 — the routing certificate is the scaling story.
+fn emit_certs_for(base: &BaseGraph, r: u32, pool: &Pool) -> Vec<(String, mmio_cert::Certificate)> {
     use mmio_pebble::cert::{emit_schedule_certificate, emit_sweep_certificate};
     use mmio_pebble::sweep::{sweep, PolicySpec};
 
@@ -236,7 +213,7 @@ fn emit_certs_for(
     }
 
     let mut sched_r = if base.b() > 30 { r.min(2) } else { r };
-    if implicit {
+    if ops::over_vertex_budget(base, r) {
         sched_r = sched_r.min(4);
     }
     let g = build_cdag(base, sched_r);
@@ -259,11 +236,11 @@ fn emit_certs_for(
 }
 
 /// Builds the named assignment strategy and runs the distributed
-/// simulation on `g` — generic over the view so `mmio distsim` scales to
-/// implicit instances whose `G_r` never fits in memory. Returns the
-/// outcome together with the resolved cache size.
-fn run_distsim<V: mmio_cdag::CdagView + Sync>(
-    g: &V,
+/// simulation on `g`, the closed-form view, so `mmio distsim` scales to
+/// instances whose `G_r` never fits in memory. Returns the outcome
+/// together with the resolved cache size.
+fn run_distsim(
+    g: &IndexView,
     p: u32,
     mem: Option<usize>,
     assign: &str,
@@ -318,7 +295,6 @@ fn expand_cert_paths(operands: &[&String]) -> Result<Vec<std::path::PathBuf>, Cl
 fn run() -> Result<ExitCode, CliError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let explicit_threads = extract_threads(&mut args)?;
-    let view = extract_view(&mut args)?;
     let pool = Pool::from_env(explicit_threads);
     let Some(cmd) = args.first() else {
         return Err("no command".into());
@@ -379,18 +355,10 @@ fn run() -> Result<ExitCode, CliError> {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
             let m: usize = parse(args.get(3), "M")?;
-            // Both paths run the identical engine on identical (preds,
-            // order) data, so the stats — and this line — are byte-equal.
-            let stats = if use_implicit(view, &base, r) {
-                let v = IndexView::from_base(&base, r);
-                let order = recursive_order(&v);
-                let vg = ViewGraph::from_view(&v);
-                AutoScheduler::new(&vg, m).run(&order, &mut Belady)
-            } else {
-                let g = build_cdag(&base, r);
-                let order = recursive_order(&g);
-                AutoScheduler::new(&g, m).run(&order, &mut Belady)
-            };
+            let v = IndexView::from_base(&base, r);
+            let order = recursive_order(&v);
+            let vg = ViewGraph::from_view(&v);
+            let stats = AutoScheduler::new(&vg, m).run(&order, &mut Belady);
             let n = mmio_cdag::index::pow(base.n0(), r);
             let bound = LowerBound::new(&base).sequential_io(n, m as u64);
             println!(
@@ -408,7 +376,7 @@ fn run() -> Result<ExitCode, CliError> {
             let m: u64 = parse(args.get(3), "M")?;
             // Rendered by the same function the serve tier uses, so a serve
             // `certify` response is byte-identical to this output.
-            print!("{}", ops::certify_text(&base, r, m, view, &pool));
+            print!("{}", ops::certify(&base, r, m, &pool));
         }
         "routing" => {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
@@ -442,13 +410,7 @@ fn run() -> Result<ExitCode, CliError> {
                 }
                 let class = RoutingClass::build(&base, k, &pool)
                     .expect("Hall matching exists (verified above)");
-                let tr = if use_implicit(view, &base, r) {
-                    let gr = IndexView::from_base(&base, r);
-                    verify_transported_view(&gr, &class, &pool)
-                } else {
-                    let gr = build_cdag(&base, r);
-                    verify_transported(&gr, &class, &pool)
-                };
+                let tr = verify_copies(&IndexView::from_base(&base, r), &class, &pool);
                 println!(
                     "transported into G_{r}: {} copies × {} paths, max hits {}/{} \
                      (bound {}), edge violations {}, uniform {} → {}",
@@ -625,8 +587,7 @@ fn run() -> Result<ExitCode, CliError> {
                         .map_err(|e| CliError::io(out_dir.display(), e))?;
                     let mut written = Vec::new();
                     for base in &bases {
-                        let implicit = use_implicit(view, base, r);
-                        for (file, cert) in emit_certs_for(base, r, &pool, implicit) {
+                        for (file, cert) in emit_certs_for(base, r, &pool) {
                             let path = out_dir.join(file);
                             std::fs::write(&path, cert.to_json())
                                 .map_err(|e| CliError::io(path.display(), e))?;
@@ -830,15 +791,8 @@ fn run() -> Result<ExitCode, CliError> {
                     1,
                 )),
             };
-            // Both views run the identical SoA engine on identical
-            // (preds, order) data, so the output is byte-equal.
-            let (outcome, m) = if use_implicit(view, &base, k) {
-                let v = IndexView::from_base(&base, k);
-                run_distsim(&v, p, mem, assign_name, machine, &pool)?
-            } else {
-                let g = build_cdag(&base, k);
-                run_distsim(&g, p, mem, assign_name, machine, &pool)?
-            };
+            let v = IndexView::from_base(&base, k);
+            let (outcome, m) = run_distsim(&v, p, mem, assign_name, machine, &pool)?;
             if json {
                 let v = serde::Value::Object(vec![
                     (

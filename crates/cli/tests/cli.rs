@@ -225,32 +225,19 @@ fn bad_threads_value_fails() {
 }
 
 #[test]
-fn certify_golden_across_views_and_threads() {
-    // The view-equivalence contract: `--view explicit` and `--view
-    // implicit` (and `auto`, which resolves to one of them) produce
-    // byte-identical certify output at every thread count. The expected
-    // bytes are pinned so a drift in either path fails loudly.
+fn certify_golden_across_threads() {
+    // The expected bytes are pinned so a drift in the one graph path fails
+    // loudly, at every thread count.
     let golden = "n = 8, M = 4: 36 complete segments, certified I/O ≥ 1422\n\
                   (k = 1, feasible = false, disjoint subcomputations = 49 ≥ target 1)\n";
-    for view in ["explicit", "implicit", "auto"] {
-        for threads in ["1", "2", "8"] {
-            let out = mmio(&[
-                "--threads",
-                threads,
-                "--view",
-                view,
-                "certify",
-                "strassen",
-                "3",
-                "4",
-            ]);
-            assert!(out.status.success(), "view={view} threads={threads}");
-            assert_eq!(
-                String::from_utf8(out.stdout).unwrap(),
-                golden,
-                "certify bytes diverge at view={view} threads={threads}"
-            );
-        }
+    for threads in ["1", "2", "8"] {
+        let out = mmio(&["--threads", threads, "certify", "strassen", "3", "4"]);
+        assert!(out.status.success(), "threads={threads}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            golden,
+            "certify bytes diverge at threads={threads}"
+        );
     }
 }
 
@@ -270,44 +257,108 @@ fn certify_r8_headline() {
 }
 
 #[test]
-fn simulate_identical_across_views() {
-    let explicit = mmio(&["--view", "explicit", "simulate", "strassen", "3", "64"]);
-    let implicit = mmio(&["--view", "implicit", "simulate", "strassen", "3", "64"]);
-    assert!(explicit.status.success() && implicit.status.success());
-    assert_eq!(explicit.stdout, implicit.stdout);
+fn simulate_golden() {
+    let out = mmio(&["simulate", "strassen", "3", "64"]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "n = 8, M = 64: 476 loads + 159 stores = 635 I/Os (Ω bound 64, ratio 9.92)\n"
+    );
 }
 
 #[test]
-fn routing_transport_identical_across_views() {
-    let explicit = mmio(&["--view", "explicit", "routing", "winograd", "1", "3"]);
-    let implicit = mmio(&["--view", "implicit", "routing", "winograd", "1", "3"]);
-    assert!(explicit.status.success() && implicit.status.success());
-    assert_eq!(explicit.stdout, implicit.stdout);
-    assert!(String::from_utf8(implicit.stdout)
-        .unwrap()
-        .contains("VERIFIED"));
+fn routing_transport_golden() {
+    let out = mmio(&["routing", "winograd", "1", "3"]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "6a^k = 24: 32 paths, max vertex hits 24, max meta hits 16 → VERIFIED\n\
+         transported into G_3: 49 copies × 32 paths, max hits 24/16 (bound 24), \
+         edge violations 0, uniform true → VERIFIED\n"
+    );
 }
 
 #[test]
 fn bad_view_value_fails() {
-    let out = mmio(&["--view", "lazy", "list"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr)
-        .unwrap()
-        .contains("invalid --view"));
-    let out = mmio(&["--view"]);
-    assert!(!out.status.success());
+    // The representation is not an option: `--view` is an unknown command.
+    let out = mmio(&["--view", "implicit", "list"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown command '--view'"), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
 }
 
 #[test]
-fn degenerate_r0_legal_under_every_view() {
-    // r = 0 (n = 1) has no closed-form view; the CLI must fall back to
-    // the explicit graph rather than panic, whatever `--view` says.
-    let golden = mmio(&["simulate", "strassen", "0", "4"]);
-    assert!(golden.status.success());
-    for view in ["explicit", "implicit", "auto"] {
-        let out = mmio(&["--view", view, "simulate", "strassen", "0", "4"]);
-        assert!(out.status.success(), "view={view} at r=0");
-        assert_eq!(out.stdout, golden.stdout, "view={view} at r=0");
+fn degenerate_r0_legal() {
+    // r = 0 (n = 1) runs on the closed-form view of G_0 like any other
+    // depth; the pinned bytes are those of the materialized G_0.
+    for (args, golden) in [
+        (
+            &["simulate", "strassen", "0", "4"][..],
+            "n = 1, M = 4: 2 loads + 1 stores = 3 I/Os (Ω bound 1, ratio 5.25)\n",
+        ),
+        (
+            &["certify", "strassen", "0", "4"][..],
+            "n = 1, M = 4: 0 complete segments, certified I/O ≥ 0\n\
+             (k = 0, feasible = false, disjoint subcomputations = 1 ≥ target 0)\n",
+        ),
+        (
+            &["distsim", "strassen", "0"][..],
+            "strassen r=0 P=4 M=16 assign=cyclic: 1 words moved, critical path 1, \
+             local I/O max 2 / total 2\n",
+        ),
+        (
+            &["routing", "strassen", "0", "0"][..],
+            "6a^k = 6: 2 paths, max vertex hits 4, max meta hits 2 → VERIFIED\n\
+             transported into G_0: 1 copies × 2 paths, max hits 4/2 (bound 6), \
+             edge violations 0, uniform true → VERIFIED\n",
+        ),
+    ] {
+        let out = mmio(args);
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), golden, "{args:?}");
+    }
+}
+
+#[test]
+fn cert_emit_names_follow_the_size_rule() {
+    // G_5 (113 553 vertices) is under the schedule-witness vertex budget,
+    // so every witness is emitted at the requested depth; G_7 (5.7M) is
+    // over it, so the schedule and sweep witnesses are capped at depth 4.
+    for (r, want) in [
+        (
+            "5",
+            [
+                "strassen__routing_k2_r5.json",
+                "strassen__schedule_r5_m9.json",
+                "strassen__sweep_r5.json",
+            ],
+        ),
+        (
+            "7",
+            [
+                "strassen__routing_k2_r7.json",
+                "strassen__schedule_r4_m9.json",
+                "strassen__sweep_r4.json",
+            ],
+        ),
+    ] {
+        let dir = std::env::temp_dir().join(format!("mmio_cli_emit{r}_{}", std::process::id()));
+        let out = mmio(&[
+            "cert",
+            "emit",
+            "strassen",
+            r,
+            "--out",
+            dir.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "r={r}");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, want, "r={r}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

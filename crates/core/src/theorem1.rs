@@ -124,32 +124,22 @@ pub fn certify(g: &Cdag, m: u64, order: &[VertexId]) -> Certificate {
 /// *this* order; the theorem quantifies over all orders, which the formula
 /// captures).
 pub fn certify_with(g: &Cdag, m: u64, order: &[VertexId], params: CertifyParams) -> Certificate {
-    certify_pooled(g, m, order, params, &mmio_parallel::Pool::serial())
+    let pool = mmio_parallel::Pool::serial();
+    certify_pooled(g.base(), g, m, order, params, &pool)
 }
 
-/// [`certify_with`], with the per-segment analysis sharded over `pool`
-/// (identical certificate at any thread count — see
-/// [`segments::analyze_with`]).
-pub fn certify_pooled(
-    g: &Cdag,
-    m: u64,
-    order: &[VertexId],
-    params: CertifyParams,
-    pool: &mmio_parallel::Pool,
-) -> Certificate {
-    certify_pooled_view(g.base(), g, m, order, params, pool)
-}
-
-/// [`certify_pooled`] over any [`CdagView`]: the whole pipeline — meta
-/// grouping, Lemma 1 selection, counted mask, segment analysis — runs on
-/// the view's closed-form adjacency, so an [`mmio_cdag::IndexView`] yields
-/// the same certificate as the materialized graph without ever allocating
-/// its edge lists (equivalence pinned by `view_certificate_matches_explicit`
-/// below and the CLI golden test).
+/// [`certify_with`] over any [`CdagView`], with the per-segment analysis
+/// sharded over `pool` (identical certificate at any thread count — see
+/// [`segments::analyze_with`]). The whole pipeline — meta grouping,
+/// Lemma 1 selection, counted mask, segment analysis — runs on the view's
+/// adjacency, so an [`mmio_cdag::IndexView`] yields the same certificate
+/// as the materialized graph without ever allocating its edge lists
+/// (pinned by `view_certificate_matches_explicit` below and the CLI golden
+/// test).
 ///
 /// `base` must be the base graph the view was derived from (it supplies the
 /// name and the Theorem 1 formula constants).
-pub fn certify_pooled_view<V: CdagView + Sync>(
+pub fn certify_pooled<V: CdagView + Sync>(
     base: &BaseGraph,
     g: &V,
     m: u64,
@@ -163,7 +153,7 @@ pub fn certify_pooled_view<V: CdagView + Sync>(
         "view must come from this base graph"
     );
     let n = index::pow(base.n0(), g.r());
-    let meta = MetaVertices::compute_view(g);
+    let meta = MetaVertices::compute(g);
     let (k, k_feasible) = segments::choose_k(g, m, params.k_multiplier);
     let chosen = lemma1::select_input_disjoint(g, &meta, k);
     let counted = segments::counted_mask(g, k, &chosen);
@@ -248,10 +238,9 @@ mod tests {
         let order = orders::recursive_order(&g);
         let pool = mmio_parallel::Pool::serial();
         for m in [2u64, 6] {
-            let explicit = certify_pooled(&g, m, &order, CertifyParams::SMALL, &pool);
+            let explicit = certify_pooled(&base, &g, m, &order, CertifyParams::SMALL, &pool);
             let view = IndexView::from_base(&base, 3);
-            let implicit =
-                certify_pooled_view(&base, &view, m, &order, CertifyParams::SMALL, &pool);
+            let implicit = certify_pooled(&base, &view, m, &order, CertifyParams::SMALL, &pool);
             assert_eq!(format!("{explicit:?}"), format!("{implicit:?}"));
         }
     }

@@ -7,16 +7,17 @@
 //! *one object per `(base graph, k)` class*, not one per copy: this module
 //! constructs it once — Hall matchings, chain lifting, path enumeration —
 //! stores the paths flat in a [`PathArena`], and transports them into every
-//! copy through the [`Subcomputation`] index isomorphism.
+//! copy through the Fact-1 index isomorphism ([`CdagView::lift_from`]).
 //!
 //! ## Soundness of transported verification
 //!
 //! Per copy, the engine does two things:
 //!
-//! 1. **Global edge re-walk** — every transported path is re-walked hop by
-//!    hop against `G_r`'s real adjacency (`preds`/`succs`). This is the
-//!    part that could conceivably break if the isomorphism were wrong, so
-//!    it is *never skipped*, only parallelized.
+//! 1. **Global edge re-walk** — every transported hop is re-walked against
+//!    `G_r`'s real adjacency. This is the part that could conceivably break
+//!    if the isomorphism were wrong, so it is *never skipped*, only
+//!    parallelized; a hop shared by several paths is walked once per copy
+//!    and a failure counts once per path occurrence.
 //! 2. **Hit counting in local coordinates** — the copies are vertex-disjoint
 //!    (Fact 1; `copies_are_vertex_disjoint_and_cover_middle` in
 //!    `mmio_cdag::fact1`), so a global vertex's hit count equals its local
@@ -34,12 +35,11 @@
 use crate::routing::{PathArena, RoutingStats, VertexHitCounter};
 use crate::theorem2::InOutRouting;
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
 use mmio_cdag::{BaseGraph, Cdag, CdagView, MetaVertices, VertexId};
 use mmio_parallel::events::{self, SyncEvent};
 use mmio_parallel::Pool;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,20 +107,6 @@ impl RoutingClass {
     /// The class's paths (local vertex ids of [`RoutingClass::gk`]).
     pub fn paths(&self) -> &PathArena {
         &self.paths
-    }
-
-    /// Fills `table` with the Fact-1 translation of every `G_k` vertex into
-    /// the copy `sub` of `G_r`: `table[local.idx()]` is the global image.
-    /// This is the *entire* per-copy construction cost of a transported
-    /// routing — `O(|V(G_k)|)` index arithmetic, independent of the number
-    /// of paths.
-    pub fn translate_into(&self, sub: &Subcomputation<'_>, table: &mut Vec<VertexId>) {
-        table.clear();
-        table.extend(
-            self.gk
-                .vertices()
-                .map(|lv| sub.local_to_global(self.gk.vref(lv))),
-        );
     }
 }
 
@@ -235,45 +221,72 @@ struct CopyStats {
     edge_violations: u64,
 }
 
-/// Transports `class` into every copy of `G_k` inside `g` and re-verifies
-/// each copy: global edge re-walk of every transported path, plus per-copy
-/// hit counting (see the module docs for why local counting is the global
-/// count). Copies are sharded over `pool` and merged in prefix order, so
-/// the report is identical at any thread count.
+/// Transports `class` into every copy of `G_k` inside `gr` (any
+/// [`CdagView`] of `G_r`) and re-verifies each copy: global edge re-walk of
+/// every transported hop, plus per-copy hit counting (see the module docs
+/// for why local counting is the global count). With an
+/// [`mmio_cdag::IndexView`], peak memory is `O(|V(G_k)| + paths)`
+/// regardless of `r`, which is what lets the transport argument be checked
+/// at `r ≥ 8` where `G_r` itself does not fit. Copies are sharded over
+/// `pool` and merged in prefix order, so the report is identical at any
+/// thread count and on any view of the same `G_r`.
+///
+/// The `2a^{2k}` paths re-walk far fewer distinct `G_k` edges, so each
+/// distinct hop `(u, v)` is checked once per copy — `u ∈ preds(v)`, else
+/// `v ∈ preds(u)` — and a failed hop counts once per path occurrence.
 ///
 /// # Panics
-/// Panics if `g` was not built from the same base graph as `class`, or if
-/// `class.k > g.r()`.
-pub fn verify_transported(g: &Cdag, class: &RoutingClass, pool: &Pool) -> TransportReport {
+/// Panics if `gr`'s `(a, b)` differ from the class's base graph, or if
+/// `class.k > gr.r()`.
+pub fn verify_copies<V: CdagView + Sync>(
+    gr: &V,
+    class: &RoutingClass,
+    pool: &Pool,
+) -> TransportReport {
     assert_eq!(
-        g.base().name(),
-        class.gk.base().name(),
-        "class and graph must share a base graph"
+        (gr.a(), gr.b()),
+        (class.gk.base().a(), class.gk.base().b()),
+        "class and view must share a base graph"
     );
-    let copies = Subcomputation::count(g, class.k);
+    assert!(class.k <= gr.r(), "transport requires k <= r");
+    let copies = mmio_cdag::index::pow(gr.b(), gr.r() - class.k);
+    let hops = distinct_hops(&class.paths);
     let chunks = ((pool.threads() * 4).min(copies.max(1) as usize)).max(1);
     let per_chunk: Vec<Vec<CopyStats>> = pool.map(chunks, |c| {
         let start = copies * c as u64 / chunks as u64;
         let end = copies * (c as u64 + 1) / chunks as u64;
-        // One translation table and one counter, reused across the chunk's
-        // copies.
-        let mut table: Vec<VertexId> = Vec::with_capacity(class.gk.n_vertices());
+        let n_local = class.gk.n_vertices();
+        // One translation table, counter and adjacency buffer, reused
+        // across the chunk's copies.
+        let mut table: Vec<VertexId> = Vec::with_capacity(n_local);
         let mut counter = VertexHitCounter::new(&class.gk, Some(&class.meta));
+        let mut adj = Vec::new();
         let mut out = Vec::with_capacity((end - start) as usize);
         for prefix in start..end {
-            let sub = Subcomputation::new(g, class.k, prefix);
-            class.translate_into(&sub, &mut table);
+            // The Fact-1 translation table of this copy.
+            table.clear();
+            table.extend((0..n_local as u32).map(|lv| {
+                gr.lift_from(&class.gk, prefix, VertexId(lv))
+                    .expect("Fact-1 lift in range")
+            }));
             counter.reset();
-            let mut edge_violations = 0u64;
             for path in class.paths.iter() {
                 counter.add_path(path);
-                // Global re-walk: every transported hop must be a real edge
-                // of G_r, in either direction.
-                for w in path.windows(2) {
-                    let (gu, gv) = (table[w[0].idx()], table[w[1].idx()]);
-                    if !(g.preds(gv).contains(&gu) || g.succs(gv).contains(&gu)) {
-                        edge_violations += 1;
-                    }
+            }
+            // Global re-walk: every transported hop must be a real edge of
+            // G_r, in either direction.
+            let mut edge_violations = 0u64;
+            for &((lu, lv), occurrences) in &hops {
+                let (gu, gv) = (table[lu.idx()], table[lv.idx()]);
+                adj.clear();
+                gr.preds_into(gv, &mut adj);
+                if adj.contains(&gu) {
+                    continue;
+                }
+                adj.clear();
+                gr.preds_into(gu, &mut adj);
+                if !adj.contains(&gv) {
+                    edge_violations += occurrences;
                 }
             }
             let stats = counter.stats();
@@ -316,100 +329,37 @@ pub fn verify_transported(g: &Cdag, class: &RoutingClass, pool: &Pool) -> Transp
     }
 }
 
-/// [`verify_transported`] over any [`CdagView`] of `G_r`: the same
-/// transport — full global edge re-walk of every path in every copy, plus
-/// per-copy hit counting — against the view's closed-form adjacency instead
-/// of materialized `preds`/`succs` slices. With an
-/// [`mmio_cdag::IndexView`], peak memory is `O(|V(G_k)| + paths)`
-/// regardless of `r`, which is what lets the transport argument be checked
-/// at `r ≥ 8` where `G_r` itself does not fit. Same chunking and
-/// prefix-order merge, so the report is byte-identical to
-/// [`verify_transported`] at any thread count (pinned by
-/// `view_transport_matches_explicit` below).
+/// The distinct hops `(u, v)` of `paths` in sorted order, each with the
+/// number of times it occurs.
+fn distinct_hops(paths: &PathArena) -> Vec<((VertexId, VertexId), u64)> {
+    let mut hops = BTreeMap::new();
+    for w in paths.iter().flat_map(|p| p.windows(2)) {
+        *hops.entry((w[0], w[1])).or_insert(0) += 1;
+    }
+    hops.into_iter().collect()
+}
+
+/// [`verify_copies`] on a materialized `G_r`, which can also check that
+/// `g` was built from the class's base graph *by name*: bases sharing
+/// `(a, b)`, such as strassen and winograd, pass the view's shape check.
 ///
 /// # Panics
-/// Panics if `gr`'s `(a, b)` differ from the class's base graph, or if
-/// `class.k > gr.r()`.
+/// Panics if `g` was not built from the same base graph as `class`, or if
+/// `class.k > g.r()`.
+pub fn verify_transported(g: &Cdag, class: &RoutingClass, pool: &Pool) -> TransportReport {
+    let same = g.base().name() == class.gk.base().name();
+    assert!(same, "class and graph must share a base graph");
+    verify_copies(g, class, pool)
+}
+
+/// [`verify_copies`] under its former view-only name, kept only because
+/// the benchmark in `perfbench/` calls it.
 pub fn verify_transported_view<V: CdagView + Sync>(
     gr: &V,
     class: &RoutingClass,
     pool: &Pool,
 ) -> TransportReport {
-    assert_eq!(
-        (gr.a(), gr.b()),
-        (class.gk.base().a(), class.gk.base().b()),
-        "class and view must share a base graph"
-    );
-    assert!(class.k <= gr.r(), "transport requires k <= r");
-    let copies = mmio_cdag::index::pow(gr.b(), gr.r() - class.k);
-    let chunks = ((pool.threads() * 4).min(copies.max(1) as usize)).max(1);
-    let per_chunk: Vec<Vec<CopyStats>> = pool.map(chunks, |c| {
-        let start = copies * c as u64 / chunks as u64;
-        let end = copies * (c as u64 + 1) / chunks as u64;
-        let n_local = class.gk.n_vertices();
-        let mut table: Vec<VertexId> = Vec::with_capacity(n_local);
-        let mut counter = VertexHitCounter::new(&class.gk, Some(&class.meta));
-        let (mut preds, mut succs) = (Vec::new(), Vec::new());
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for prefix in start..end {
-            // The Fact-1 translation table, from the view's closed-form
-            // lift instead of `Subcomputation` (which needs the full Cdag).
-            table.clear();
-            table.extend((0..n_local as u32).map(|lv| {
-                gr.lift_from(&class.gk, prefix, VertexId(lv))
-                    .expect("Fact-1 lift in range")
-            }));
-            counter.reset();
-            let mut edge_violations = 0u64;
-            for path in class.paths.iter() {
-                counter.add_path(path);
-                for w in path.windows(2) {
-                    let (gu, gv) = (table[w[0].idx()], table[w[1].idx()]);
-                    preds.clear();
-                    succs.clear();
-                    gr.preds_into(gv, &mut preds);
-                    gr.succs_into(gv, &mut succs);
-                    if !(preds.contains(&gu) || succs.contains(&gu)) {
-                        edge_violations += 1;
-                    }
-                }
-            }
-            let stats = counter.stats();
-            out.push(CopyStats {
-                max_vertex_hits: stats.max_vertex_hits,
-                max_meta_hits: stats.max_meta_hits,
-                edge_violations,
-            });
-        }
-        out
-    });
-
-    let mut merged = CopyStats {
-        max_vertex_hits: 0,
-        max_meta_hits: 0,
-        edge_violations: 0,
-    };
-    let mut uniform = true;
-    let mut first: Option<CopyStats> = None;
-    for cs in per_chunk.iter().flatten() {
-        merged.max_vertex_hits = merged.max_vertex_hits.max(cs.max_vertex_hits);
-        merged.max_meta_hits = merged.max_meta_hits.max(cs.max_meta_hits);
-        merged.edge_violations += cs.edge_violations;
-        match &first {
-            None => first = Some(*cs),
-            Some(f) => uniform &= f == cs,
-        }
-    }
-    TransportReport {
-        k: class.k,
-        copies,
-        paths_per_copy: class.paths.len() as u64,
-        bound: class.bound,
-        max_vertex_hits: merged.max_vertex_hits,
-        max_meta_hits: merged.max_meta_hits,
-        edge_violations: merged.edge_violations,
-        uniform,
-    }
+    verify_copies(gr, class, pool)
 }
 
 /// Emits a self-contained, portable routing certificate for `class`
@@ -565,20 +515,54 @@ mod tests {
         let g = build_cdag(&base, 3);
         let view = IndexView::from_base(&base, 3);
         for threads in [1usize, 4] {
-            let pool = if threads == 1 {
-                Pool::serial()
-            } else {
-                Pool::new(threads)
-            };
+            let pool = Pool::new(threads);
             let class = RoutingClass::build(&base, 1, &pool).unwrap();
+            // Same report whether G_r is materialized or closed-form.
             let explicit = verify_transported(&g, &class, &pool);
-            // Same report whether G_r is materialized, wrapped as a view,
-            // or purely closed-form.
-            let via_cdag = verify_transported_view(&g, &class, &pool);
-            let via_index = verify_transported_view(&view, &class, &pool);
-            assert_eq!(format!("{explicit:?}"), format!("{via_cdag:?}"));
+            let via_index = verify_copies(&view, &class, &pool);
             assert_eq!(format!("{explicit:?}"), format!("{via_index:?}"));
             assert!(explicit.verified());
+        }
+    }
+
+    #[test]
+    fn failed_hops_count_every_occurrence() {
+        use mmio_cdag::IndexView;
+        // A class path is checked against its own G_k as it is counted, so
+        // the corruption comes from the graph side: a strassen class
+        // re-walked in winograd's G_3, which shares (a, b). Every copy is
+        // winograd's G_1, so a hop fails in each copy iff it is no edge of
+        // that G_1, once per occurrence in the class's paths.
+        let class = RoutingClass::build(&strassen(), 1, &Pool::serial()).unwrap();
+        let other = build_cdag(&winograd(), 1);
+        let is_edge =
+            |u: VertexId, v: VertexId| other.preds(v).contains(&u) || other.preds(u).contains(&v);
+        let per_copy = class
+            .paths
+            .iter()
+            .flat_map(|p| p.windows(2))
+            .filter(|w| !is_edge(w[0], w[1]))
+            .count() as u64;
+        let distinct = distinct_hops(&class.paths)
+            .iter()
+            .filter(|((u, v), _)| !is_edge(*u, *v))
+            .count() as u64;
+        assert!(per_copy > distinct, "a failing hop must repeat");
+        let g = build_cdag(&winograd(), 3);
+        let view = IndexView::from_base(&winograd(), 3);
+        for threads in [1usize, 4] {
+            let pool = Pool::new(threads);
+            for report in [
+                verify_copies(&g, &class, &pool),
+                verify_copies(&view, &class, &pool),
+            ] {
+                assert_eq!(report.copies, 49);
+                assert_eq!(
+                    report.edge_violations,
+                    per_copy * report.copies,
+                    "threads={threads}"
+                );
+            }
         }
     }
 
@@ -587,6 +571,13 @@ mod tests {
     fn mismatched_base_rejected() {
         let pool = Pool::serial();
         let class = RoutingClass::build(&strassen(), 1, &pool).unwrap();
+        // Strassen and winograd share (a, b), so the closed-form view
+        // accepts the pairing and the edge re-walk must reject it.
+        let view = mmio_cdag::IndexView::from_base(&winograd(), 3);
+        let report = verify_copies(&view, &class, &pool);
+        assert!(!report.verified());
+        assert_eq!(report.edge_violations, 5586);
+        // The materialized graph knows its base's name and refuses outright.
         let g = build_cdag(&winograd(), 2);
         let _ = verify_transported(&g, &class, &pool);
     }

@@ -1,6 +1,7 @@
 //! Property-based equivalence of the two [`CdagView`] implementations:
-//! random probes must see the identical graph through [`ExplicitView`]
-//! (backed by a materialized `Cdag`) and [`IndexView`] (closed-form).
+//! random probes must see the identical graph through the materialized
+//! `Cdag` and [`IndexView`] (closed-form), at every depth including the
+//! degenerate `r = 0`.
 //!
 //! The probes exercise every trait method the generic engines consume —
 //! id/address round-trips, adjacency, input/output/rank classification,
@@ -14,7 +15,7 @@
 
 use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::{BaseGraph, CdagView, ExplicitView, IndexView, VertexId, VertexRef};
+use mmio_cdag::{BaseGraph, CdagView, IndexView, VertexId, VertexRef};
 use proptest::prelude::*;
 
 /// Registry bases with a depth cap keeping `G_r` small enough to
@@ -34,7 +35,7 @@ fn cases() -> Vec<(BaseGraph, u32)> {
 /// are fixed-point.
 fn probe() -> impl Strategy<Value = (usize, u32, u64)> {
     let n_bases = cases().len();
-    (0..n_bases, 1u32..=3, 0u64..1000)
+    (0..n_bases, 0u32..=3, 0u64..1000)
 }
 
 fn pick_vertex(n: usize, frac: u64) -> VertexId {
@@ -85,20 +86,42 @@ fn n_of<V: CdagView>(g: &V) -> usize {
     g.n_vertices()
 }
 
+/// Whether `v` is a predecessor of each of its successors — the identity
+/// the transport re-walk relies on when it checks a hop `(u, v)` as
+/// `u ∈ preds(v)`, else `v ∈ preds(u)`.
+fn succs_see_v_as_pred<V: CdagView>(g: &V, v: VertexId) -> bool {
+    let mut succs = Vec::new();
+    g.succs_into(v, &mut succs);
+    succs.iter().all(|&s| {
+        let mut preds = Vec::new();
+        g.preds_into(s, &mut preds) && preds.contains(&v)
+    })
+}
+
 proptest! {
     #[test]
     fn views_agree_on_probes((bi, r, frac) in probe()) {
         let (base, max_r) = cases().swap_remove(bi);
         let r = r.min(max_r);
         let g = build_cdag(&base, r);
-        let ev = ExplicitView(&g);
         let iv = IndexView::from_base(&base, r);
 
-        prop_assert_eq!(shape(&ev), shape(&iv));
-        let v = pick_vertex(n_of(&ev), frac);
-        let eo = observe(&ev, v);
+        prop_assert_eq!(shape(&g), shape(&iv));
+        let v = pick_vertex(n_of(&g), frac);
+        let eo = observe(&g, v);
         prop_assert_eq!(eo.roundtrip, Some(v));
         prop_assert_eq!(eo, observe(&iv, v));
+    }
+
+    #[test]
+    fn succs_invert_preds((bi, r, frac) in probe()) {
+        let (base, max_r) = cases().swap_remove(bi);
+        let r = r.min(max_r);
+        let g = build_cdag(&base, r);
+        let iv = IndexView::from_base(&base, r);
+        let v = pick_vertex(n_of(&g), frac);
+        prop_assert!(succs_see_v_as_pred(&g, v));
+        prop_assert!(succs_see_v_as_pred(&iv, v));
     }
 
     #[test]
@@ -108,7 +131,6 @@ proptest! {
         let k = k.min(r);
         let g = build_cdag(&base, r);
         let gk = build_cdag(&base, k);
-        let ev = ExplicitView(&g);
         let iv = IndexView::from_base(&base, r);
         let lk = IndexView::from_base(&base, k);
 
@@ -116,33 +138,35 @@ proptest! {
         let prefix = (copies * pfrac / 1000).min(copies - 1);
         let v = pick_vertex(gk.n_vertices(), frac);
 
-        let lifted = lift(&ev, &gk, prefix, v);
+        let lifted = lift(&g, &gk, prefix, v);
         prop_assert!(lifted.is_some(), "every G_k vertex lifts into G_r");
         prop_assert_eq!(lift(&iv, &gk, prefix, v), lifted);
         prop_assert_eq!(lift(&iv, &lk, prefix, v), lifted);
         // Out-of-range prefixes are rejected by both.
-        prop_assert_eq!(lift(&ev, &gk, copies, v), None);
+        prop_assert_eq!(lift(&g, &gk, copies, v), None);
         prop_assert_eq!(lift(&iv, &gk, copies, v), None);
     }
 }
 
-/// Exhaustive (non-random) sweep at small depth: every vertex of every
-/// registry base agrees between views, including the copy-root table and
-/// maximum in-degree the meta-vertex and scheduler machinery consume.
+/// Exhaustive (non-random) sweep at small depth, the degenerate `r = 0`
+/// included: every vertex of every registry base agrees between views,
+/// including the copy-root table and maximum in-degree the meta-vertex and
+/// scheduler machinery consume.
 #[test]
 fn full_sweep_small_depth() {
-    for base in all_base_graphs() {
-        let r = if base.b() > 30 { 1 } else { 2 };
+    for (base, r) in all_base_graphs().into_iter().flat_map(|b| {
+        let r = if b.b() > 30 { 1 } else { 2 };
+        [(b.clone(), 0), (b, r)]
+    }) {
         let g = build_cdag(&base, r);
-        let ev = ExplicitView(&g);
         let iv = IndexView::from_base(&base, r);
-        assert_eq!(shape(&ev), shape(&iv), "{}", base.name());
-        for i in 0..n_of(&ev) as u32 {
+        assert_eq!(shape(&g), shape(&iv), "{} r={r}", base.name());
+        for i in 0..n_of(&g) as u32 {
             let v = VertexId(i);
             assert_eq!(
-                observe(&ev, v),
+                observe(&g, v),
                 observe(&iv, v),
-                "{} vertex {i}",
+                "{} r={r} vertex {i}",
                 base.name()
             );
         }
@@ -152,7 +176,7 @@ fn full_sweep_small_depth() {
         fn indeg<V: CdagView>(g: &V) -> usize {
             g.max_indegree()
         }
-        assert_eq!(roots(&ev), roots(&iv), "{} copy roots", base.name());
-        assert_eq!(indeg(&ev), indeg(&iv), "{} max indegree", base.name());
+        assert_eq!(roots(&g), roots(&iv), "{} r={r} copy roots", base.name());
+        assert_eq!(indeg(&g), indeg(&iv), "{} r={r} max indegree", base.name());
     }
 }

@@ -490,13 +490,7 @@ fn compute(shared: &Shared, op: &Op) -> Result<String, ComputeError> {
     match op {
         Op::Certify { algo, r, m } => {
             let base = resolve(algo)?;
-            Ok(ops::certify_text(
-                &base,
-                *r,
-                *m,
-                ops::ViewMode::Auto,
-                &shared.pool,
-            ))
+            Ok(ops::certify(&base, *r, *m, &shared.pool))
         }
         Op::Analyze { algo, r } => {
             let base = resolve(algo)?;
@@ -551,11 +545,10 @@ mod tests {
         let resp = e.submit(certify_req(1));
         assert_eq!(resp.status, Status::Ok, "{resp:?}");
         assert!(!resp.cached);
-        let expect = ops::certify_text(
+        let expect = ops::certify(
             &ops::resolve_registry("strassen").unwrap(),
             2,
             49,
-            ops::ViewMode::Auto,
             &Pool::serial(),
         );
         assert_eq!(resp.payload.as_deref(), Some(expect.as_str()));

@@ -2,23 +2,26 @@
 //! the serve tier render through the same functions** — byte-identical
 //! responses are a structural property, not a test-enforced coincidence.
 //!
-//! `mmio certify` prints [`certify_text`]; a serve `certify` response *is*
-//! [`certify_text`]. `mmio analyze <algo> <r> --json` prints
+//! `mmio certify` prints [`certify`]; a serve `certify` response *is*
+//! [`certify`]. `mmio analyze <algo> <r> --json` prints
 //! [`analyze_json`]; a serve `analyze` response *is* [`analyze_json`].
 //! The fault harness and `exp_perf_serve` then enforce the equality
 //! end-to-end (cold, warm, restarted, at 1/2/8 threads), which pins the
 //! cache layer too: a snapshot that survived a crash must still replay
 //! the exact batch bytes.
 //!
-//! The view policy (`--view explicit|implicit|auto`) lives here for the
-//! same reason: the server must pick the same `G_r` representation the
-//! CLI would, or outputs could diverge at the auto threshold.
+//! [`certify`] runs on the closed-form [`IndexView`] of `G_r` at every
+//! `r`: there is one graph path and no representation option. The audits
+//! and witnesses below materialize the small graphs they replay. The one
+//! size rule — `mmio cert emit` caps its schedule witnesses' depth on a
+//! large `G_r` ([`over_vertex_budget`]) — lives here too, so every caller
+//! applies the same threshold.
 
 use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
-use mmio_core::theorem1::{certify_pooled, certify_pooled_view, CertifyParams};
+use mmio_core::theorem1::{certify_pooled, CertifyParams};
 use mmio_core::theorem2::InOutRouting;
 use mmio_core::transport::RoutingClass;
 use mmio_parallel::Pool;
@@ -27,40 +30,29 @@ use mmio_pebble::policy::Belady;
 use mmio_pebble::sweep::{sweep, PolicySpec};
 use mmio_pebble::AutoScheduler;
 
-/// Which `G_r` representation the engines run on.
+/// `mmio cert emit` caps its schedule and sweep witnesses at depth 4 when
+/// `G_r` has more vertices than this: they replay a materialized graph.
+/// 2²² (≈4.2M) leaves every default-depth emit uncapped.
+pub const SCHEDULE_VERTEX_BUDGET: u64 = 1 << 22;
+
+/// Whether `G_r` has more than [`SCHEDULE_VERTEX_BUDGET`] vertices, by the
+/// closed-form count (overflow counts as "too big").
+pub fn over_vertex_budget(base: &BaseGraph, r: u32) -> bool {
+    count_vertices(base.a() as u64, base.b() as u64, r).is_none_or(|n| n > SCHEDULE_VERTEX_BUDGET)
+}
+
+/// The former view selector, kept only because the benchmark in
+/// `perfbench/` names it; every engine runs on [`IndexView`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ViewMode {
-    /// Materialize the full graph (`build_cdag`).
-    Explicit,
-    /// Run on the closed-form [`IndexView`] — memory independent of `b^r`.
-    Implicit,
-    /// Explicit below [`AUTO_VERTEX_BUDGET`] vertices, implicit above.
+    /// The one remaining value.
     Auto,
 }
 
-/// The `auto` policy's switch-over point: `G_r` with more vertices than
-/// this runs implicit. 2²² (≈4.2M) keeps every default-depth workload on
-/// the explicit path (byte-identical output to previous releases) while
-/// routing `r ≥ 8` Strassen-scale graphs to the implicit one.
-pub const AUTO_VERTEX_BUDGET: u64 = 1 << 22;
-
-/// Resolves the view policy for one `(base, r)` workload. `auto` compares
-/// the closed-form vertex count against [`AUTO_VERTEX_BUDGET`] (overflow
-/// counts as "too big").
-pub fn use_implicit(mode: ViewMode, base: &BaseGraph, r: u32) -> bool {
-    // The degenerate G_0 (n = 1) has no closed-form view (`IndexView`
-    // requires r ≥ 1); its explicit graph is a handful of vertices.
-    if r == 0 {
-        return false;
-    }
-    match mode {
-        ViewMode::Explicit => false,
-        ViewMode::Implicit => true,
-        ViewMode::Auto => match count_vertices(base.a() as u64, base.b() as u64, r) {
-            Some(n) => n > AUTO_VERTEX_BUDGET,
-            None => true,
-        },
-    }
+/// [`over_vertex_budget`] under its former name, kept only because the
+/// benchmark in `perfbench/` calls it.
+pub fn use_implicit(_mode: ViewMode, base: &BaseGraph, r: u32) -> bool {
+    over_vertex_budget(base, r)
 }
 
 /// Looks up a *registry* algorithm by name. The serve tier resolves
@@ -71,16 +63,10 @@ pub fn resolve_registry(name: &str) -> Option<BaseGraph> {
 
 /// The exact text `mmio certify <algo> <r> <M>` prints (two lines,
 /// trailing newline included).
-pub fn certify_text(base: &BaseGraph, r: u32, m: u64, view: ViewMode, pool: &Pool) -> String {
-    let cert = if use_implicit(view, base, r) {
-        let v = IndexView::from_base(base, r);
-        let order = recursive_order(&v);
-        certify_pooled_view(base, &v, m, &order, CertifyParams::SMALL, pool)
-    } else {
-        let g = build_cdag(base, r);
-        let order = recursive_order(&g);
-        certify_pooled(&g, m, &order, CertifyParams::SMALL, pool)
-    };
+pub fn certify(base: &BaseGraph, r: u32, m: u64, pool: &Pool) -> String {
+    let v = IndexView::from_base(base, r);
+    let order = recursive_order(&v);
+    let cert = certify_pooled(base, &v, m, &order, CertifyParams::SMALL, pool);
     format!(
         "n = {}, M = {m}: {} complete segments, certified I/O ≥ {}\n\
          (k = {}, feasible = {}, disjoint subcomputations = {} ≥ target {})\n",
@@ -92,6 +78,12 @@ pub fn certify_text(base: &BaseGraph, r: u32, m: u64, view: ViewMode, pool: &Poo
         cert.disjoint_subcomputations,
         cert.lemma1_target
     )
+}
+
+/// [`certify`] under its former name and signature, kept only because the
+/// benchmark in `perfbench/` calls it.
+pub fn certify_text(base: &BaseGraph, r: u32, m: u64, _view: ViewMode, pool: &Pool) -> String {
+    certify(base, r, m, pool)
 }
 
 /// One target of `mmio analyze`: an algorithm analyzed at recursion depth
@@ -217,11 +209,11 @@ mod tests {
     #[test]
     fn certify_text_is_thread_count_invariant() {
         let base = strassen();
-        let serial = certify_text(&base, 2, 49, ViewMode::Auto, &Pool::serial());
+        let serial = certify(&base, 2, 49, &Pool::serial());
         assert!(serial.starts_with("n = "), "{serial}");
         assert!(serial.ends_with('\n'));
         for threads in [2, 8] {
-            let par = certify_text(&base, 2, 49, ViewMode::Auto, &Pool::new(threads));
+            let par = certify(&base, 2, 49, &Pool::new(threads));
             assert_eq!(serial, par, "threads={threads}");
         }
     }

@@ -30,11 +30,10 @@ fn certify_key() -> CacheKey {
 }
 
 fn batch_certify_payload() -> String {
-    ops::certify_text(
+    ops::certify(
         &ops::resolve_registry("strassen").unwrap(),
         2,
         49,
-        ops::ViewMode::Auto,
         &Pool::serial(),
     )
 }

@@ -46,11 +46,10 @@ fn certify(id: u64, deadline_ms: Option<u64>) -> Request {
 }
 
 fn batch_certify_payload() -> String {
-    ops::certify_text(
+    ops::certify(
         &ops::resolve_registry("strassen").unwrap(),
         2,
         49,
-        ops::ViewMode::Auto,
         &Pool::serial(),
     )
 }
