@@ -679,17 +679,18 @@ impl IndexView {
         true
     }
 
-    /// Whether `(u, v)` is an edge of `G_r` in either direction.
+    /// Whether `(u, v)` is an edge of `G_r` in either direction: `v` lists
+    /// `u` among its predecessors, or `u` lists `v`. Out-of-range ids are
+    /// never edges. Allocates nothing.
     pub fn is_edge(&self, u: u32, v: u32) -> bool {
-        let mut preds = Vec::new();
-        if !self.preds_into(v, &mut preds) {
-            return false;
-        }
-        if preds.contains(&u) {
-            return true;
-        }
-        preds.clear();
-        self.preds_into(u, &mut preds) && preds.contains(&v)
+        let lists = |id: u32, pred: u32| {
+            self.vref(id).is_some_and(|w| {
+                let mut hit = false;
+                self.preds_of(w, &mut |p| hit |= p == pred);
+                hit
+            })
+        };
+        lists(v, u) || lists(u, v)
     }
 
     /// Whether `id` is an input (encoding level 0 of either side).

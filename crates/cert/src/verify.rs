@@ -272,12 +272,20 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
     }
 
     // Per-path structural validation on the standalone G_k, plus pair
-    // coverage and the hit recount over structurally valid paths.
+    // coverage and the hit recount over structurally valid paths. Each
+    // distinct hop is decided once; the path loop only looks it up.
     let n_local = kview.n_vertices();
+    let hops = HopTable::new(&p.paths, n_local);
+    let kedges: Vec<bool> = hops
+        .sorted
+        .iter()
+        .map(|&(u, v)| kview.is_edge(u, v))
+        .collect();
+    // A hop missing from the table reads as a non-edge: fail closed.
+    let is_kedge = |u, v| hops.lookup(u, v).and_then(|h| kedges.get(h)) == Some(&true);
     let mut counter = HitCounter::with_groups(kview.copy_roots());
     let outputs = kview.outputs_count();
     let mut pair_seen = vec![false; expected_paths as usize];
-    let mut preds = Vec::new();
     for (i, path) in p.paths.iter().enumerate() {
         if path.is_empty() {
             ctx.reject(codes::V_ROUTE_NON_EDGE, format!("path {i} is empty"));
@@ -290,30 +298,17 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
             );
             continue;
         }
-        let mut ok = true;
-        for (j, w) in path.windows(2).enumerate() {
-            let &[u, v] = w else { continue };
-            // Forward orientation: each hop's later vertex lists the earlier
-            // one among its predecessors; accept either direction so path
-            // storage order is not part of the format contract.
-            preds.clear();
-            kview.preds_into(v, &mut preds);
-            let mut edge = preds.contains(&u);
-            if !edge {
-                preds.clear();
-                kview.preds_into(u, &mut preds);
-                edge = preds.contains(&v);
-            }
-            if !edge {
-                ctx.reject(
-                    codes::V_ROUTE_NON_EDGE,
-                    format!("path {i} hop {j}: ({u}, {v}) is not an edge of G_{}", p.k),
-                );
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
+        // Either orientation is an edge, so path storage order is not
+        // part of the format contract.
+        let non_edge = path.windows(2).enumerate().find_map(|(j, w)| match *w {
+            [u, v] if !is_kedge(u, v) => Some((j, u, v)),
+            _ => None,
+        });
+        if let Some((j, u, v)) = non_edge {
+            ctx.reject(
+                codes::V_ROUTE_NON_EDGE,
+                format!("path {i} hop {j}: ({u}, {v}) is not an edge of G_{}", p.k),
+            );
             continue;
         }
         let (Some(&s), Some(&t)) = (path.first(), path.last()) else {
@@ -391,12 +386,24 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
         );
     }
 
-    verify_transport(p, &kview, &rview, ctx);
+    verify_transport(p, &hops, &kview, &rview, ctx);
 }
 
 /// Re-checks the Fact-1 transport: the prefix set must be exactly
 /// `[b^{r-k}]`, and every lifted hop of every path must be an edge of `G_r`.
-fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ctx: &mut Ctx) {
+///
+/// Each copy lifts the distinct hop endpoints once and checks each distinct
+/// hop once, in first-occurrence order, stopping at the first failure. A
+/// hop's verdict depends only on the hop and the copy, so the first failing
+/// distinct hop is exactly where a walk of every path would have stopped,
+/// and the rejection is the same.
+fn verify_transport(
+    p: &RoutingPayload,
+    hops: &HopTable,
+    kview: &IndexView,
+    rview: &IndexView,
+    ctx: &mut Ctx,
+) {
     let Some(copies) = checked_pow(kview.b() as u64, p.r - p.k) else {
         ctx.reject(codes::V_PARAMS, "b^{r-k} overflows the id space");
         return;
@@ -437,50 +444,101 @@ fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ct
         );
         return;
     }
-    let n_local = kview.n_vertices();
-    let mut preds = Vec::new();
+    let mut lifted: Vec<Option<u32>> = Vec::with_capacity(hops.verts.len());
     for &prefix in &prefixes_ok {
-        let mut bad = false;
-        for path in &p.paths {
-            if path.is_empty() || path.iter().any(|&v| v >= n_local) {
-                continue; // already rejected structurally
-            }
-            for w in path.windows(2) {
-                let &[hu, hv] = w else { continue };
-                let (Some(lu), Some(lv)) =
-                    (rview.lift(kview, prefix, hu), rview.lift(kview, prefix, hv))
-                else {
-                    ctx.reject(
-                        codes::V_ROUTE_TRANSPORT,
-                        format!("prefix {prefix}: hop ({hu}, {hv}) does not lift into G_r"),
-                    );
-                    bad = true;
-                    break;
-                };
-                preds.clear();
-                rview.preds_into(lv, &mut preds);
-                let mut edge = preds.contains(&lu);
-                if !edge {
-                    preds.clear();
-                    rview.preds_into(lu, &mut preds);
-                    edge = preds.contains(&lv);
-                }
-                if !edge {
-                    ctx.reject(
-                        codes::V_ROUTE_TRANSPORT,
-                        format!(
-                            "prefix {prefix}: lifted hop ({lu}, {lv}) is not an edge of G_{}",
-                            p.r
-                        ),
-                    );
-                    bad = true;
-                    break;
-                }
-            }
-            if bad {
+        lifted.clear();
+        lifted.extend(hops.verts.iter().map(|&v| rview.lift(kview, prefix, v)));
+        let lift = |i: usize| lifted.get(i).copied().flatten();
+        for hop in &hops.hops {
+            let (Some(lu), Some(lv)) = (lift(hop.iu), lift(hop.iv)) else {
+                ctx.reject(
+                    codes::V_ROUTE_TRANSPORT,
+                    format!(
+                        "prefix {prefix}: hop ({}, {}) does not lift into G_r",
+                        hop.u, hop.v
+                    ),
+                );
+                break;
+            };
+            if !rview.is_edge(lu, lv) {
+                ctx.reject(
+                    codes::V_ROUTE_TRANSPORT,
+                    format!(
+                        "prefix {prefix}: lifted hop ({lu}, {lv}) is not an edge of G_{}",
+                        p.r
+                    ),
+                );
                 break; // one broken copy is enough evidence for this prefix
             }
         }
+    }
+}
+
+/// One distinct hop: its `G_k` endpoints and their indices into
+/// [`HopTable::verts`].
+struct Hop {
+    u: u32,
+    v: u32,
+    iu: usize,
+    iv: usize,
+}
+
+/// The distinct hops of a routing certificate's in-range paths (non-empty,
+/// every vertex inside `G_k`), the only paths the hop checks walk. Built by
+/// sort and dedup, so its size follows the certificate, never `|V(G_k)|`.
+struct HopTable {
+    /// The distinct hops `(u, v)`, sorted: the structural lookup key.
+    sorted: Vec<(u32, u32)>,
+    /// The distinct hop endpoints, sorted.
+    verts: Vec<u32>,
+    /// The distinct hops in order of first occurrence along the paths.
+    hops: Vec<Hop>,
+}
+
+impl HopTable {
+    fn new(paths: &[Vec<u32>], n_local: u32) -> HopTable {
+        // Every hop occurrence with its position along the paths. Sorting
+        // puts each hop's first occurrence at the head of its run.
+        let mut keyed: Vec<(u32, u32, usize)> = paths
+            .iter()
+            .filter(|path| !path.is_empty() && path.iter().all(|&v| v < n_local))
+            .flat_map(|path| path.windows(2))
+            .filter_map(|w| match *w {
+                [u, v] => Some((u, v)),
+                _ => None,
+            })
+            .enumerate()
+            .map(|(pos, (u, v))| (u, v, pos))
+            .collect();
+        keyed.sort_unstable();
+        keyed.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let sorted = keyed.iter().map(|&(u, v, _)| (u, v)).collect();
+        let mut verts: Vec<u32> = keyed.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        verts.sort_unstable();
+        verts.dedup();
+        keyed.sort_unstable_by_key(|&(_, _, pos)| pos);
+        // Every endpoint is in `verts`; a miss would index past the lift
+        // table and so fail closed as a hop that does not lift.
+        let index = |x: u32| verts.binary_search(&x).unwrap_or(usize::MAX);
+        let hops = keyed
+            .iter()
+            .map(|&(u, v, _)| Hop {
+                u,
+                v,
+                iu: index(u),
+                iv: index(v),
+            })
+            .collect();
+        HopTable {
+            sorted,
+            verts,
+            hops,
+        }
+    }
+
+    /// The position of hop `(u, v)` in [`HopTable::sorted`].
+    fn lookup(&self, u: u32, v: u32) -> Option<usize> {
+        self.sorted.binary_search(&(u, v)).ok()
     }
 }
 

@@ -572,6 +572,13 @@ fn run() -> Result<ExitCode, CliError> {
                         Some(a) => a.parse().map_err(|_| "invalid r")?,
                         None => 2,
                     };
+                    // Every certificate needs r ≥ 1: the verifier rejects
+                    // G_0 outright, so refuse before writing any file.
+                    if r == 0 {
+                        return Err(CliError::Usage(
+                            "cert emit needs r ≥ 1: certificates over G_0 cannot verify".into(),
+                        ));
+                    }
                     let out_dir = match args.iter().position(|a| a == "--out") {
                         Some(i) => std::path::PathBuf::from(
                             args.get(i + 1).ok_or("missing value for --out")?,

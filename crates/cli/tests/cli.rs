@@ -321,6 +321,24 @@ fn degenerate_r0_legal() {
 }
 
 #[test]
+fn cert_emit_at_r0_is_a_usage_error() {
+    // Every certificate over G_0 fails verification, so emit refuses up
+    // front (exit 2) instead of writing any file.
+    let dir = std::env::temp_dir().join(format!("mmio_cli_emit0_{}", std::process::id()));
+    let out = mmio(&[
+        "cert",
+        "emit",
+        "strassen",
+        "0",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8(out.stderr).unwrap().contains("r ≥ 1"));
+    assert!(!dir.exists(), "no output directory is created");
+}
+
+#[test]
 fn cert_emit_names_follow_the_size_rule() {
     // G_5 (113 553 vertices) is under the schedule-witness vertex budget,
     // so every witness is emitted at the requested depth; G_7 (5.7M) is
