@@ -3,8 +3,8 @@
 //! The pebble scheduler's hot path needs, for every vertex, the sorted list
 //! of compute-order positions at which the vertex is used. Building that as
 //! `Vec<Vec<u64>>` costs one heap allocation per vertex per run; [`Csr`]
-//! stores the same data as two flat arrays (`offsets` + `items`) built by a
-//! two-pass counting sort, and `rebuild` reuses the allocations across
+//! stores the same data as two flat `u32` arrays (`offsets` + `items`) built
+//! by a two-pass counting sort, and `rebuild` reuses the allocations across
 //! builds — the "build once per (graph, order), reuse across the (policy, M)
 //! grid" pattern of `mmio_pebble::sweep`.
 
@@ -15,8 +15,7 @@
 #[derive(Clone, Debug, Default)]
 pub struct Csr {
     offsets: Vec<u32>,
-    items: Vec<u64>,
-    cursors: Vec<u32>,
+    items: Vec<u32>,
 }
 
 impl Csr {
@@ -30,32 +29,40 @@ impl Csr {
     /// must produce the same `(key, item)` sequence both times (first pass
     /// counts, second pass fills).
     ///
+    /// The fill pass uses `offsets` itself as the per-row cursors (each
+    /// `offsets[k]` advances from the start of row `k` to its end, which is
+    /// the start of row `k + 1`), then shifts them back by one row, so no
+    /// cursor array outlives the call.
+    ///
     /// # Panics
-    /// Panics if `emit` produces a key `>= n_keys`, or a different number of
-    /// items on the second pass.
-    pub fn rebuild(&mut self, n_keys: usize, emit: impl Fn(&mut dyn FnMut(u32, u64))) {
+    /// Panics if `emit` produces a key `>= n_keys` or more than `u32::MAX`
+    /// items. Debug builds also check that the fill pass ends the last row
+    /// where the count pass did.
+    pub fn rebuild(&mut self, n_keys: usize, emit: impl Fn(&mut dyn FnMut(u32, u32))) {
         self.offsets.clear();
         self.offsets.resize(n_keys + 1, 0);
         emit(&mut |key, _item| {
             self.offsets[key as usize + 1] += 1;
         });
         for k in 0..n_keys {
-            self.offsets[k + 1] += self.offsets[k];
+            self.offsets[k + 1] = self.offsets[k + 1]
+                .checked_add(self.offsets[k])
+                .expect("CSR item count exceeds u32::MAX");
         }
         let total = self.offsets[n_keys] as usize;
         self.items.clear();
         self.items.resize(total, 0);
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..n_keys]);
         emit(&mut |key, item| {
-            let cur = &mut self.cursors[key as usize];
+            let cur = &mut self.offsets[key as usize];
             self.items[*cur as usize] = item;
             *cur += 1;
         });
         debug_assert!(
-            (0..n_keys).all(|k| self.cursors[k] == self.offsets[k + 1]),
-            "emit produced fewer items on the fill pass than on the count pass"
+            n_keys == 0 || self.offsets[n_keys - 1] as usize == total,
+            "emit produced a different sequence on the fill pass than on the count pass"
         );
+        self.offsets.copy_within(0..n_keys, 1);
+        self.offsets[0] = 0;
     }
 
     /// Number of rows.
@@ -70,7 +77,7 @@ impl Csr {
 
     /// Row `key` as a slice (empty slice for keys with no items).
     #[inline]
-    pub fn row(&self, key: usize) -> &[u64] {
+    pub fn row(&self, key: usize) -> &[u32] {
         &self.items[self.offsets[key] as usize..self.offsets[key + 1] as usize]
     }
 }
@@ -82,7 +89,7 @@ mod tests {
     #[test]
     fn builds_rows_in_emission_order() {
         let mut csr = Csr::new();
-        let pairs = [(2u32, 10u64), (0, 5), (2, 11), (1, 7), (2, 12)];
+        let pairs = [(2u32, 10u32), (0, 5), (2, 11), (1, 7), (2, 12)];
         csr.rebuild(4, |sink| {
             for &(k, v) in &pairs {
                 sink(k, v);
@@ -93,7 +100,7 @@ mod tests {
         assert_eq!(csr.row(0), &[5]);
         assert_eq!(csr.row(1), &[7]);
         assert_eq!(csr.row(2), &[10, 11, 12]);
-        assert_eq!(csr.row(3), &[] as &[u64]);
+        assert_eq!(csr.row(3), &[] as &[u32]);
     }
 
     #[test]
@@ -107,7 +114,7 @@ mod tests {
             sink(2, 9);
         });
         assert_eq!(csr.n_keys(), 3);
-        assert_eq!(csr.row(0), &[] as &[u64]);
+        assert_eq!(csr.row(0), &[] as &[u32]);
         assert_eq!(csr.row(2), &[9]);
     }
 

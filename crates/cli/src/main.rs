@@ -50,7 +50,7 @@ use mmio_core::transport::{verify_copies, RoutingClass};
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
-use mmio_pebble::{AutoScheduler, ViewGraph};
+use mmio_pebble::{AutoScheduler, CacheTooSmall, ViewGraph};
 use mmio_serve::ops;
 use std::process::ExitCode;
 
@@ -271,6 +271,15 @@ fn run_distsim(
     Ok((outcome, m))
 }
 
+/// The usage error of `simulate` and `report` for a cache `M` below
+/// `max_indegree + 1`, worded like `distsim`'s `--mem` check.
+fn cache_too_small(e: CacheTooSmall) -> CliError {
+    CliError::Usage(format!(
+        "M = {} cannot hold an operand set (need ≥ {})",
+        e.m, e.need
+    ))
+}
+
 /// Expands `mmio cert verify` operands: directories become their sorted
 /// `*.json` entries, files pass through.
 fn expand_cert_paths(operands: &[&String]) -> Result<Vec<std::path::PathBuf>, CliError> {
@@ -356,9 +365,10 @@ fn run() -> Result<ExitCode, CliError> {
             let r: u32 = parse(args.get(2), "r")?;
             let m: usize = parse(args.get(3), "M")?;
             let v = IndexView::from_base(&base, r);
-            let order = recursive_order(&v);
             let vg = ViewGraph::from_view(&v);
-            let stats = AutoScheduler::new(&vg, m).run(&order, &mut Belady);
+            let scheduler = AutoScheduler::try_new(&vg, m).map_err(cache_too_small)?;
+            let order = recursive_order(&v);
+            let stats = scheduler.run(&order, &mut Belady);
             let n = mmio_cdag::index::pow(base.n0(), r);
             let bound = LowerBound::new(&base).sequential_io(n, m as u64);
             println!(
@@ -434,7 +444,8 @@ fn run() -> Result<ExitCode, CliError> {
             let r: u32 = parse(args.get(2), "r")?;
             let m: u64 = parse(args.get(3), "M")?;
             let routing_k = if base.a() >= 16 { 1 } else { 2 };
-            let report = mmio_core::report::analyze(&base, r, m, routing_k);
+            let report =
+                mmio_core::report::analyze(&base, r, m, routing_k).map_err(cache_too_small)?;
             println!(
                 "{}",
                 serde_json::to_string_pretty(&report).expect("serializable")

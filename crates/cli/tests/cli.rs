@@ -321,6 +321,31 @@ fn degenerate_r0_legal() {
 }
 
 #[test]
+fn too_small_cache_is_a_usage_error() {
+    // A cache that cannot hold one operand set plus its result is a bad
+    // argument (exit 2, no stdout), not a panic — as for `distsim --mem`.
+    for (args, need) in [
+        (&["simulate", "strassen", "2", "2"][..], 5),
+        (&["simulate", "strassen", "0", "1"][..], 3),
+        (&["report", "strassen", "2", "2"][..], 5),
+        (&["report", "strassen", "0", "1"][..], 3),
+    ] {
+        let out = mmio(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let m = args[3];
+        assert!(
+            stderr.contains(&format!(
+                "error: M = {m} cannot hold an operand set (need ≥ {need})"
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn cert_emit_at_r0_is_a_usage_error() {
     // Every certificate over G_0 fails verification, so emit refuses up
     // front (exit 2) instead of writing any file.

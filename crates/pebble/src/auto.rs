@@ -21,28 +21,36 @@
 //! recorded [`Schedule`], same eviction sequence, for every policy). Three
 //! structures replace the per-miss scans:
 //!
-//! - **Lazy-invalidation policy heaps.** For [`PolicyKind::Belady`] a
-//!   max-heap keyed `(next_use, Reverse(id))`; for [`PolicyKind::Lru`] a
+//! - **Bounded lazy-invalidation policy heaps.** For [`PolicyKind::Belady`]
+//!   a max-heap keyed `(next_use, Reverse(id))`; for [`PolicyKind::Lru`] a
 //!   min-heap keyed `(last_touch, id)`. Entries are pushed on every key
 //!   change and never removed in place; a popped entry is *stale* (its key
 //!   no longer matches the vertex's current key, or the vertex left the
 //!   cache) and discarded, or *pinned* (an operand of the current step) and
-//!   stashed + re-pushed after the victim is found. The VertexId tie-break
-//!   makes the victim identical to the reference scan regardless of heap
-//!   internals. [`PolicyKind::Other`] policies fall back to a candidate
-//!   scan over the cache in insertion order, so stateful policies (random)
-//!   observe the exact call sequence the reference makes.
+//!   stashed + re-pushed after the victim is found. Once a heap holds more
+//!   than `2·|cache| + HEAP_SLACK` entries it is rebuilt from the cache at
+//!   the next step boundary (one valid entry per cached vertex), so it never
+//!   outgrows `O(M)` and each push pays O(1) amortized for the rebuilds.
+//!   The VertexId tie-break makes the victim identical to the reference
+//!   scan regardless of heap internals or rebuilds. [`PolicyKind::Other`]
+//!   policies fall back to a candidate scan over the cache in insertion
+//!   order, so stateful policies (random) observe the exact call sequence
+//!   the reference makes.
 //! - **Dead-value free-list.** A value that is dead the moment it is
 //!   computed (a non-output with zero uses under this order) is pushed onto
 //!   a min-heap by id; free evictions pop it in O(log M). All other values
 //!   die while pinned as operands (or as just-stored outputs) and are
 //!   dropped eagerly at that point, so the free-list is exactly the set of
 //!   dead values in cache — no lazy validation needed.
-//! - **Flat CSR use-lists.** Per-vertex sorted use positions live in one
-//!   [`Csr`] (`use_offsets`/`use_positions`) built once per `(graph,
-//!   order)` by [`SchedScratch::prepare`] and reused across every
-//!   `(policy, M)` run of a sweep; `use_ptr` advances eagerly as uses are
-//!   consumed, so "next use" is an O(1) lookup.
+//! - **Flat CSR use-lists.** Per-vertex sorted `u32` use positions live in
+//!   one [`Csr`] built once per `(graph, order)` by [`SchedScratch::prepare`]
+//!   and reused across every `(policy, M)` run of a sweep; a per-vertex use
+//!   cursor advances eagerly as uses are consumed, so "next use" and "uses
+//!   left" are O(1) lookups and need no state of their own.
+//!
+//! Per vertex, a run keeps an 8-byte `Slot` (cache position + use
+//! cursor), one `stored` byte, and for LRU an 8-byte touch stamp; the
+//! prepared CSR adds 4 bytes per vertex plus 4 per use.
 
 pub mod reference;
 
@@ -54,6 +62,18 @@ use mmio_cdag::{Cdag, Csr, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+
+/// Slack of the policy-heap compaction rule: a heap holding more than
+/// `2·|cache| + HEAP_SLACK` entries is rebuilt from the cache, so it never
+/// exceeds that length at a step boundary (plus one step's pushes within
+/// it). The slack keeps tiny caches from rebuilding every step.
+const HEAP_SLACK: usize = 16;
+
+/// `Slot::cache_pos` of a vertex that is not in cache.
+const NOT_CACHED: u32 = u32::MAX;
+
+/// Next-use key of a vertex with no uses left.
+const NO_USE: u32 = u32::MAX;
 
 /// Error: the cache cannot hold even one operand set plus its result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,29 +118,33 @@ pub struct RunOutput {
     pub counters: EngineCounters,
 }
 
+/// The hot per-vertex record of a run: both fields are read for every
+/// operand of every step, so they share a cache line.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Index in the cache list, or [`NOT_CACHED`].
+    cache_pos: u32,
+    /// Uses consumed so far: the index of the next use in the vertex's row.
+    use_ptr: u32,
+}
+
 /// Reusable scheduler state: the per-(graph, order) CSR use-lists plus every
 /// per-run vector and heap, so a sweep over a (policy, M) grid allocates
 /// once per worker instead of once per run.
 #[derive(Default)]
 pub struct SchedScratch {
     // Built by `prepare`, immutable during runs.
-    compute_pos: Vec<u64>,
     uses: Csr,
     // Per-run state, reset by `run_prepared`.
-    use_ptr: Vec<u32>,
-    remaining_uses: Vec<u32>,
-    in_cache: Vec<bool>,
-    cache_list: Vec<VertexId>,
-    cache_pos: Vec<u32>,
-    dirty: Vec<bool>,
+    slots: Vec<Slot>,
     stored: Vec<bool>,
-    pinned_mark: Vec<u64>,
+    /// LRU only: the stamp of each vertex's latest touch.
     last_touch: Vec<u64>,
-    next_use_cur: Vec<u64>,
-    belady_heap: BinaryHeap<(u64, Reverse<VertexId>)>,
+    cache_list: Vec<VertexId>,
+    belady_heap: BinaryHeap<(u32, Reverse<VertexId>)>,
     lru_heap: BinaryHeap<Reverse<(u64, VertexId)>>,
     dead_heap: BinaryHeap<Reverse<VertexId>>,
-    stash: Vec<(u64, VertexId)>,
+    stash: Vec<VertexId>,
     candidates: Vec<VertexId>,
     next_use_buf: Vec<u64>,
 }
@@ -131,23 +155,23 @@ impl SchedScratch {
         SchedScratch::default()
     }
 
-    /// Builds the flat CSR use-lists and compute positions for `(g, order)`,
-    /// reusing existing allocations. Must be called before
-    /// [`AutoScheduler::run_prepared`] with the same graph and order.
+    /// Builds the flat CSR use-lists for `(g, order)`, reusing existing
+    /// allocations. Must be called before [`AutoScheduler::run_prepared`]
+    /// with the same graph and order.
+    ///
+    /// # Panics
+    /// Panics if `order` has more than `u32::MAX` steps (positions are
+    /// stored as `u32`; a [`VertexId`] space never needs more).
     pub fn prepare<G: PebbleGraph>(&mut self, g: &G, order: &[VertexId]) {
-        let n = g.n_vertices();
-        self.compute_pos.clear();
-        self.compute_pos.resize(n, u64::MAX);
-        for (i, &v) in order.iter().enumerate() {
-            self.compute_pos[v.idx()] = i as u64;
-        }
+        assert!(
+            order.len() <= u32::MAX as usize,
+            "order too long for u32 positions"
+        );
         // Emitting in ascending order position keeps every row sorted.
-        let compute_pos = &self.compute_pos;
-        self.uses.rebuild(n, |sink| {
-            for &v in order {
-                let pos = compute_pos[v.idx()];
+        self.uses.rebuild(g.n_vertices(), |sink| {
+            for (pos, &v) in order.iter().enumerate() {
                 for &p in g.preds(v) {
-                    sink(p.0, pos);
+                    sink(p.0, pos as u32);
                 }
             }
         });
@@ -241,18 +265,11 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         );
 
         let SchedScratch {
-            compute_pos: _,
             uses,
-            use_ptr,
-            remaining_uses,
-            in_cache,
-            cache_list,
-            cache_pos,
-            dirty,
+            slots,
             stored,
-            pinned_mark,
             last_touch,
-            next_use_cur,
+            cache_list,
             belady_heap,
             lru_heap,
             dead_heap,
@@ -261,35 +278,28 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             next_use_buf,
         } = scratch;
 
-        use_ptr.clear();
-        use_ptr.resize(n, 0);
-        remaining_uses.clear();
-        remaining_uses.resize(n, 0);
-        for (i, r) in remaining_uses.iter_mut().enumerate() {
-            *r = uses.row(i).len() as u32;
-        }
-        in_cache.clear();
-        in_cache.resize(n, false);
-        cache_list.clear();
-        cache_list.reserve(m);
-        cache_pos.clear();
-        cache_pos.resize(n, u32::MAX);
-        dirty.clear();
-        dirty.resize(n, false);
+        let pk = policy.kind();
+        slots.clear();
+        slots.resize(
+            n,
+            Slot {
+                cache_pos: NOT_CACHED,
+                use_ptr: 0,
+            },
+        );
         stored.clear();
         stored.resize(n, false);
-        pinned_mark.clear();
-        pinned_mark.resize(n, 0);
         last_touch.clear();
-        last_touch.resize(n, 0);
-        next_use_cur.clear();
-        next_use_cur.resize(n, 0);
+        if pk == PolicyKind::Lru {
+            last_touch.resize(n, 0);
+        }
+        cache_list.clear();
+        cache_list.reserve(m);
         belady_heap.clear();
         lru_heap.clear();
         dead_heap.clear();
         stash.clear();
 
-        let pk = policy.kind();
         let record = opts.record_schedule;
         let mut stats = IoStats::default();
         let mut counters = EngineCounters::default();
@@ -297,25 +307,52 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         let mut victims: Vec<VertexId> = Vec::new();
         let mut time: u64 = 0;
 
+        macro_rules! in_cache {
+            ($w:expr) => {
+                slots[$w.idx()].cache_pos != NOT_CACHED
+            };
+        }
+        // Compute-order position of the vertex's next use, `NO_USE` if
+        // none: the Belady key, derived from the use cursor. A cached
+        // vertex's heap entry is valid iff its key equals this.
+        macro_rules! next_use {
+            ($w:expr) => {{
+                let w: VertexId = $w;
+                uses.row(w.idx())
+                    .get(slots[w.idx()].use_ptr as usize)
+                    .copied()
+                    .unwrap_or(NO_USE)
+            }};
+        }
+        macro_rules! uses_left {
+            ($w:expr) => {{
+                let w: VertexId = $w;
+                uses.row(w.idx()).len() - slots[w.idx()].use_ptr as usize
+            }};
+        }
         macro_rules! cache_insert {
             ($v:expr) => {{
                 let v: VertexId = $v;
-                in_cache[v.idx()] = true;
-                cache_pos[v.idx()] = cache_list.len() as u32;
+                slots[v.idx()].cache_pos = cache_list.len() as u32;
                 cache_list.push(v);
             }};
         }
         macro_rules! cache_remove {
             ($v:expr) => {{
                 let v: VertexId = $v;
-                let pos = cache_pos[v.idx()] as usize;
+                let pos = slots[v.idx()].cache_pos as usize;
                 let last = *cache_list.last().unwrap();
                 cache_list.swap_remove(pos);
                 if last != v {
-                    cache_pos[last.idx()] = pos as u32;
+                    slots[last.idx()].cache_pos = pos as u32;
                 }
-                in_cache[v.idx()] = false;
-                cache_pos[v.idx()] = u32::MAX;
+                slots[v.idx()].cache_pos = NOT_CACHED;
+            }};
+        }
+        macro_rules! count_push {
+            ($len:expr) => {{
+                counters.heap_pushes += 1;
+                counters.peak_heap_len = counters.peak_heap_len.max($len as u64);
             }};
         }
         // Mirrors the reference's `policy.on_touch` call sites; for LRU the
@@ -327,7 +364,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 if pk == PolicyKind::Lru {
                     last_touch[w.idx()] = time;
                     lru_heap.push(Reverse((time, w)));
-                    counters.heap_pushes += 1;
+                    count_push!(lru_heap.len());
                 }
                 time += 1;
             }};
@@ -338,27 +375,37 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             ($w:expr) => {{
                 if pk == PolicyKind::Belady {
                     let w: VertexId = $w;
-                    let key = uses
-                        .row(w.idx())
-                        .get(use_ptr[w.idx()] as usize)
-                        .copied()
-                        .unwrap_or(u64::MAX);
-                    next_use_cur[w.idx()] = key;
-                    belady_heap.push((key, Reverse(w)));
-                    counters.heap_pushes += 1;
+                    belady_heap.push((next_use!(w), Reverse(w)));
+                    count_push!(belady_heap.len());
                 }
             }};
         }
 
-        for (step, &v) in order.iter().enumerate() {
-            let step = step as u64;
-            // Operands and v are pinned for the whole step; `step + 1` so
-            // the zero-initialized marks never match step 0.
-            let step_tag = step + 1;
-            for &p in g.preds(v) {
-                pinned_mark[p.idx()] = step_tag;
+        for &v in order {
+            // Compaction, at a step boundary (nothing stashed): every cached
+            // vertex has a valid entry (duplicates are possible), so a heap
+            // rebuilt with one entry per cached vertex pops the same valid
+            // keys in the same order, and every later victim is unchanged.
+            let live_cap = 2 * cache_list.len() + HEAP_SLACK;
+            match pk {
+                PolicyKind::Belady if belady_heap.len() > live_cap => {
+                    let live = cache_list.iter().map(|&w| (next_use!(w), Reverse(w)));
+                    rebuild_heap(belady_heap, live);
+                    counters.heap_compactions += 1;
+                }
+                PolicyKind::Lru if lru_heap.len() > live_cap => {
+                    let live = cache_list
+                        .iter()
+                        .map(|&w| Reverse((last_touch[w.idx()], w)));
+                    rebuild_heap(lru_heap, live);
+                    counters.heap_compactions += 1;
+                }
+                _ => {}
             }
-            pinned_mark[v.idx()] = step_tag;
+
+            // The operands are pinned for the whole step (`v` itself enters
+            // the cache only after its last eviction of the step).
+            let operands = g.preds(v);
 
             macro_rules! ensure_slot {
                 () => {{
@@ -367,8 +414,8 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                             // 1) O(1) free eviction off the dead free-list.
                             //    Dead values are never pinned: a dead-at-birth
                             //    vertex has no successors to be an operand of.
-                            debug_assert!(in_cache[w.idx()]);
-                            debug_assert!(pinned_mark[w.idx()] != step_tag);
+                            debug_assert!(in_cache!(w));
+                            debug_assert!(!operands.contains(&w));
                             cache_remove!(w);
                             counters.dead_drops += 1;
                             if opts.record_victims {
@@ -386,20 +433,20 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                         let (key, Reverse(c)) = belady_heap
                                             .pop()
                                             .expect("a live unpinned candidate must exist");
-                                        if !in_cache[c.idx()] || key != next_use_cur[c.idx()] {
+                                        if !in_cache!(c) || key != next_use!(c) {
                                             counters.stale_pops += 1;
                                             continue;
                                         }
-                                        if pinned_mark[c.idx()] == step_tag {
-                                            stash.push((key, c));
+                                        if operands.contains(&c) {
+                                            stash.push(c);
                                             counters.pinned_stashes += 1;
                                             continue;
                                         }
                                         victim = c;
                                         break;
                                     }
-                                    for &(k, c) in stash.iter() {
-                                        belady_heap.push((k, Reverse(c)));
+                                    for &c in stash.iter() {
+                                        belady_heap.push((next_use!(c), Reverse(c)));
                                     }
                                     stash.clear();
                                     victim
@@ -410,20 +457,20 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                         let Reverse((stamp, c)) = lru_heap
                                             .pop()
                                             .expect("a live unpinned candidate must exist");
-                                        if !in_cache[c.idx()] || stamp != last_touch[c.idx()] {
+                                        if !in_cache!(c) || stamp != last_touch[c.idx()] {
                                             counters.stale_pops += 1;
                                             continue;
                                         }
-                                        if pinned_mark[c.idx()] == step_tag {
-                                            stash.push((stamp, c));
+                                        if operands.contains(&c) {
+                                            stash.push(c);
                                             counters.pinned_stashes += 1;
                                             continue;
                                         }
                                         victim = c;
                                         break;
                                     }
-                                    for &(k, c) in stash.iter() {
-                                        lru_heap.push(Reverse((k, c)));
+                                    for &c in stash.iter() {
+                                        lru_heap.push(Reverse((last_touch[c.idx()], c)));
                                     }
                                     stash.clear();
                                     victim
@@ -434,14 +481,12 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                     candidates.clear();
                                     next_use_buf.clear();
                                     for &w in cache_list.iter() {
-                                        if pinned_mark[w.idx()] != step_tag {
+                                        if !operands.contains(&w) {
                                             candidates.push(w);
-                                            next_use_buf.push(
-                                                uses.row(w.idx())
-                                                    .get(use_ptr[w.idx()] as usize)
-                                                    .copied()
-                                                    .unwrap_or(u64::MAX),
-                                            );
+                                            next_use_buf.push(match next_use!(w) {
+                                                NO_USE => u64::MAX,
+                                                pos => pos as u64,
+                                            });
                                         }
                                     }
                                     let i = policy.choose_victim(candidates, next_use_buf);
@@ -449,7 +494,10 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                 }
                             };
                             counters.policy_evictions += 1;
-                            if dirty[victim.idx()] && !stored[victim.idx()] {
+                            // Dirty = computed and never stored: a non-input
+                            // re-enters the cache only by a load after its
+                            // store.
+                            if !stored[victim.idx()] && !g.is_input(victim) {
                                 stats.stores += 1;
                                 stored[victim.idx()] = true;
                                 if record {
@@ -469,8 +517,8 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             }
 
             // Load missing operands.
-            for &p in g.preds(v) {
-                if in_cache[p.idx()] {
+            for &p in operands {
+                if in_cache!(p) {
                     touch!(p);
                     continue;
                 }
@@ -480,7 +528,6 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 );
                 ensure_slot!();
                 cache_insert!(p);
-                dirty[p.idx()] = false;
                 stats.loads += 1;
                 if record {
                     actions.push(Action::Load(p));
@@ -492,31 +539,30 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             // Compute v.
             ensure_slot!();
             cache_insert!(v);
-            dirty[v.idx()] = true;
             stats.computes += 1;
             if record {
                 actions.push(Action::Compute(v));
             }
             refresh_next_use!(v);
             touch!(v);
-            if !g.is_output(v) && remaining_uses[v.idx()] == 0 {
+            if !g.is_output(v) && uses_left!(v) == 0 {
                 // Dead at birth: the only way a dead value stays in cache.
                 dead_heap.push(Reverse(v));
             }
 
             // Consume one use of each operand; drop operands that died.
-            for &p in g.preds(v) {
-                remaining_uses[p.idx()] -= 1;
-                use_ptr[p.idx()] += 1;
-                if in_cache[p.idx()] && p != v {
-                    if remaining_uses[p.idx()] == 0 && (!g.is_output(p) || stored[p.idx()]) {
-                        cache_remove!(p);
-                        if record {
-                            actions.push(Action::Drop(p));
-                        }
-                    } else {
-                        refresh_next_use!(p);
+            // (`v` is never its own operand, and every operand is cached:
+            // it was loaded or touched above and pinned since.)
+            for &p in operands {
+                debug_assert!(in_cache!(p));
+                slots[p.idx()].use_ptr += 1;
+                if uses_left!(p) == 0 && (!g.is_output(p) || stored[p.idx()]) {
+                    cache_remove!(p);
+                    if record {
+                        actions.push(Action::Drop(p));
                     }
+                } else {
+                    refresh_next_use!(p);
                 }
             }
 
@@ -527,7 +573,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 if record {
                     actions.push(Action::Store(v));
                 }
-                if remaining_uses[v.idx()] == 0 {
+                if uses_left!(v) == 0 {
                     cache_remove!(v);
                     if record {
                         actions.push(Action::Drop(v));
@@ -545,12 +591,21 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
     }
 }
 
+/// Replaces `heap`'s entries with `live` in one `O(len)` heapify, reusing
+/// its allocation.
+fn rebuild_heap<T: Ord>(heap: &mut BinaryHeap<T>, live: impl Iterator<Item = T>) {
+    let mut entries = std::mem::take(heap).into_vec();
+    entries.clear();
+    entries.extend(live);
+    *heap = BinaryHeap::from(entries);
+}
+
 #[cfg(test)]
 mod tests {
     use super::reference::ReferenceScheduler;
     use super::*;
     use crate::orders;
-    use crate::policy::{Belady, Lru, RandomEvict};
+    use crate::policy::{Belady, Lru, RandomEvict, ReplacementPolicy};
     use crate::sim::simulate;
     use mmio_cdag::build::build_cdag;
     use rand::rngs::StdRng;
@@ -689,6 +744,74 @@ mod tests {
                         &rvictims,
                         "{which} m={m}: victim sequences diverge"
                     );
+                }
+            }
+        }
+    }
+
+    /// The equivalence contract on instances large enough that the policy
+    /// heaps are compacted many times per run, with one scratch reused
+    /// across every run of a graph (so runs start on heaps whose allocation
+    /// a compaction replaced), and the compaction bound on heap length.
+    #[test]
+    fn compacting_engine_matches_reference_exactly() {
+        use mmio_algos::classical::classical;
+        use mmio_algos::strassen::strassen;
+        let opts = RunOptions {
+            record_schedule: true,
+            record_victims: true,
+        };
+        for base in [strassen(), classical(2)] {
+            let g = build_cdag(&base, 3);
+            let need = g.max_indegree() + 1;
+            for order in [orders::recursive_order(&g), orders::rank_order(&g)] {
+                let mut scratch = SchedScratch::new();
+                scratch.prepare(&g, &order);
+                // Twice over the grid: the second pass must repeat the first
+                // bit for bit on the reused scratch.
+                let mut first_pass = Vec::new();
+                for pass in 0..2 {
+                    for m in [need, need + 4, 32] {
+                        for which in ["lru", "belady", "random"] {
+                            let policy = || -> Box<dyn ReplacementPolicy> {
+                                match which {
+                                    "lru" => Box::new(Lru::new(g.n_vertices())),
+                                    "belady" => Box::new(Belady),
+                                    _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(7))),
+                                }
+                            };
+                            let ctx = format!("{} {which} m={m} pass={pass}", base.name());
+                            let fast = AutoScheduler::new(&g, m).run_prepared(
+                                &order,
+                                &mut scratch,
+                                policy().as_mut(),
+                                opts,
+                            );
+                            let (rs, rsched, rvictims) = ReferenceScheduler::new(&g, m)
+                                .run_traced(&order, policy().as_mut());
+                            assert_eq!(fast.stats, rs, "{ctx}: stats diverge");
+                            assert_eq!(fast.schedule.as_ref(), Some(&rsched), "{ctx}: schedule");
+                            assert_eq!(fast.victims.as_ref(), Some(&rvictims), "{ctx}: victims");
+                            let c = fast.counters;
+                            if which == "random" {
+                                assert_eq!((c.heap_pushes, c.heap_compactions), (0, 0), "{ctx}");
+                            } else {
+                                assert!(c.heap_compactions > 0, "{ctx}: no compaction");
+                                // One step pushes at most 2·indegree + 1 entries.
+                                let bound = 2 * m + HEAP_SLACK + 2 * need;
+                                assert!(
+                                    c.peak_heap_len as usize <= bound,
+                                    "{ctx}: heap reached {} > {bound}",
+                                    c.peak_heap_len
+                                );
+                            }
+                            if pass == 0 {
+                                first_pass.push((fast.stats, c));
+                            } else {
+                                assert_eq!(first_pass.remove(0), (fast.stats, c), "{ctx}");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -78,7 +78,6 @@ pub fn emit_schedule_certificate(g: &Cdag, m: usize, schedule: &Schedule) -> Cer
             intervals.push((v as u32, open[v], len));
         }
     }
-    intervals.sort_unstable();
 
     #[cfg(feature = "mutate")]
     {
@@ -88,10 +87,23 @@ pub fn emit_schedule_certificate(g: &Cdag, m: usize, schedule: &Schedule) -> Cer
         }
     }
 
-    let (res_vertex, (res_start, res_end)) = intervals
-        .iter()
-        .map(|&(v, s, e)| (v, (s, e)))
-        .unzip::<_, _, Vec<u32>, (Vec<u64>, Vec<u64>)>();
+    // Sorted by (vertex, start): each vertex's intervals were opened in
+    // time order, so a stable counting sort on the vertex suffices.
+    let mut next = vec![0usize; n + 1];
+    for &(v, _, _) in &intervals {
+        next[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        next[v + 1] += next[v];
+    }
+    let mut res_vertex = vec![0u32; intervals.len()];
+    let mut res_start = vec![0u64; intervals.len()];
+    let mut res_end = vec![0u64; intervals.len()];
+    for &(v, s, e) in &intervals {
+        let k = next[v as usize];
+        next[v as usize] += 1;
+        (res_vertex[k], res_start[k], res_end[k]) = (v, s, e);
+    }
     Certificate::new(
         BaseSpec::from_base(g.base()),
         Payload::Schedule(SchedulePayload {

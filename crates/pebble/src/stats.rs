@@ -38,6 +38,11 @@ pub struct EngineCounters {
     pub stale_pops: u64,
     /// Popped heap entries stashed because the vertex was pinned.
     pub pinned_stashes: u64,
+    /// Rebuilds of the policy heap from the cache, each triggered when the
+    /// heap exceeded `2·|cache| + 16` entries.
+    pub heap_compactions: u64,
+    /// The longest the policy heap got during the run.
+    pub peak_heap_len: u64,
 }
 
 impl Add for IoStats {

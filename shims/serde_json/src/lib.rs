@@ -74,12 +74,32 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Appends the decimal digits of `u` to `out` without a temporary string.
+fn write_u64(mut u: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            write_u64(i.unsigned_abs(), out);
+        }
+        Value::UInt(u) => write_u64(*u, out),
         Value::Float(f) => {
             if f.is_finite() {
                 // Always keep a decimal point or exponent so the token
@@ -279,6 +299,25 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
+        // Fast path: a plain non-negative integer, accumulated digit by
+        // digit. A sign, fraction, exponent or `u64` overflow falls through
+        // to the general path, which yields the same value for every token
+        // the fast path accepts.
+        let mut acc = Some(0u64);
+        let mut end = start;
+        while let Some(&b) = self.bytes.get(end).filter(|b| b.is_ascii_digit()) {
+            acc = acc.and_then(|a| a.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+            end += 1;
+        }
+        if let Some(u) = acc.filter(|_| end > start) {
+            if !matches!(self.bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+                self.pos = end;
+                return Ok(match i64::try_from(u) {
+                    Ok(i) => Value::Int(i),
+                    Err(_) => Value::UInt(u),
+                });
+            }
+        }
         if self.bytes[self.pos] == b'-' {
             self.pos += 1;
         }
@@ -394,6 +433,83 @@ mod tests {
         assert_eq!(parsed, Value::UInt(u64::MAX));
         let parsed: Value = from_str("-9223372036854775808").unwrap();
         assert_eq!(parsed, Value::Int(i64::MIN));
+    }
+
+    /// The number parser before its integer fast path, kept verbatim as
+    /// the oracle: the shim sits in the certificate verifier's trust base.
+    fn general_number(text: &str) -> Result<Value, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let start = p.pos;
+        if p.bytes[p.pos] == b'-' {
+            p.pos += 1;
+        }
+        let mut float = false;
+        while let Some(&b) = p.bytes.get(p.pos) {
+            match b {
+                b'0'..=b'9' => p.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    float = true;
+                    p.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = std::str::from_utf8(&p.bytes[start..p.pos]).map_err(|e| e.to_string())?;
+        if !float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Value::Int(i));
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::UInt(u));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| format!("invalid number '{text}'"))
+    }
+
+    #[test]
+    fn integer_fast_path_matches_general_parser() {
+        let tokens = [
+            "0".to_string(),
+            "007".to_string(),
+            "-0".to_string(),
+            i64::MAX.to_string(),
+            (i64::MAX as u64 + 1).to_string(),
+            u64::MAX.to_string(),
+            (u64::MAX as u128 + 1).to_string(),
+            i64::MIN.to_string(),
+            "1e3".to_string(),
+            "1.5".to_string(),
+            "-12".to_string(),
+            "12e".to_string(),
+            "1-2".to_string(),
+            "99999999999999999999999".to_string(),
+        ];
+        for tok in &tokens {
+            let general = general_number(tok);
+            let parsed = parse_value(tok).map_err(|e| e.to_string());
+            assert_eq!(parsed, general, "token {tok}");
+            // Inside a container the token ends at a delimiter.
+            let wrapped = parse_value(&format!("[{tok},{tok}]")).map_err(|e| e.to_string());
+            match general {
+                Ok(v) => assert_eq!(wrapped, Ok(Value::Array(vec![v.clone(), v])), "{tok}"),
+                Err(_) => assert!(wrapped.is_err(), "{tok}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integers_write_like_display() {
+        for i in [0, 7, -1, -12, i64::MAX, i64::MIN] {
+            assert_eq!(to_string(&Value::Int(i)).unwrap(), i.to_string());
+        }
+        for u in [0, 9, 10, 1 << 63, u64::MAX] {
+            assert_eq!(to_string(&Value::UInt(u)).unwrap(), u.to_string());
+        }
     }
 
     #[test]
