@@ -35,7 +35,7 @@ fn model_size_snapshot() {
     let s = outcome().stats;
     assert_eq!(
         (s.files, s.fns, s.edges, s.sites),
-        (189, 1954, 5215, 2880),
+        (190, 1989, 5224, 2879),
         "model/graph size drifted: files={}, fns={}, edges={}, sites={}",
         s.files,
         s.fns,

@@ -1,4 +1,7 @@
 //! Ad-hoc profiling: `cargo run --release -p mmio-cert --example profile_verify <file>`
+//!
+//! Times the three stages of `verify_json` separately: the validating scan,
+//! the decode from slices of the text, and the verification proper.
 use std::time::Instant;
 
 fn main() {
@@ -7,10 +10,10 @@ fn main() {
         .expect("usage: profile_verify <cert.json>");
     let text = std::fs::read_to_string(&path).unwrap();
     let t = Instant::now();
-    let value: serde::Value = serde_json::from_str(&text).unwrap();
-    println!("parse: {:?}", t.elapsed());
+    let doc = serde_json::Raw::parse(&text).unwrap();
+    println!("validate: {:?}", t.elapsed());
     let t = Instant::now();
-    let cert = <mmio_cert::Certificate as serde::Deserialize>::from_value(&value).unwrap();
+    let cert = mmio_cert::Certificate::from_fields(&mut doc.fields().unwrap()).unwrap();
     println!("decode: {:?}", t.elapsed());
     let t = Instant::now();
     let v = mmio_cert::verify(&cert);

@@ -24,8 +24,17 @@
 //! character per step (`L`oad/`S`tore/`C`ompute/`D`rop) plus a parallel
 //! vertex array: compact, diffable, and free of nested enums the offline
 //! serde shim cannot derive.
+//!
+//! Neither direction builds a `serde::Value` tree: a schedule certificate
+//! holds millions of integers, and a tree spends 32 bytes on each.
+//! [`Certificate::to_json`] writes the text straight from the typed fields,
+//! and [`Certificate::from_json`] validates the text in one scan, then
+//! decodes each field from its slice, integer columns straight into
+//! `Vec<u32>`/`Vec<u64>`. Both produce the bytes, values and error messages
+//! the derived `Serialize`/`Deserialize` impls of the same structs do.
 
 use serde::{de, Deserialize, Serialize, Value};
+use serde_json::{write_object, Fields, Raw, ToJson};
 
 use mmio_matrix::{Matrix, Rational};
 
@@ -181,46 +190,35 @@ impl Certificate {
         }
     }
 
-    /// Serializes to compact, deterministic JSON.
+    /// Serializes to compact, deterministic JSON, written straight from
+    /// the typed fields.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("certificates always serialize")
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
-}
 
-impl Serialize for Certificate {
-    fn to_value(&self) -> Value {
-        let payload = match &self.payload {
-            Payload::Routing(p) => p.to_value(),
-            Payload::Schedule(p) => p.to_value(),
-            Payload::Sweep(p) => p.to_value(),
-        };
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("kind".to_string(), Value::Str(self.payload.kind().into())),
-            ("base".to_string(), self.base.to_value()),
-            ("payload".to_string(), payload),
-        ])
+    /// Decodes JSON text: one validating scan, then a decode straight from
+    /// slices of the text. A non-object document decodes as an object with
+    /// no members, so it fails on the missing `version`.
+    pub fn from_json(s: &str) -> Result<Certificate, serde_json::Error> {
+        let doc = Raw::parse(s)?;
+        Certificate::from_fields(&mut doc.fields().unwrap_or_default())
     }
-}
 
-impl Deserialize for Certificate {
-    fn from_value(v: &Value) -> Result<Certificate, de::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| de::Error::custom(format!("missing field `{name}`")))
-        };
-        let version = u32::from_value(field("version")?)?;
-        let kind = String::from_value(field("kind")?)?;
-        let base = BaseSpec::from_value(field("base")?)?;
-        let payload = field("payload")?;
+    /// Decodes the members of a certificate's top-level object, in
+    /// declaration order; the first field that fails is the error.
+    pub fn from_fields(f: &mut Fields<'_>) -> Result<Certificate, serde_json::Error> {
+        let version = f.decode("version")?;
+        let kind: String = f.decode("kind")?;
+        let base = BaseSpec::from_raw(f.field("base")?)?;
+        let payload = f.field("payload")?;
         let payload = match kind.as_str() {
-            "routing" => Payload::Routing(RoutingPayload::from_value(payload)?),
-            "schedule" => Payload::Schedule(SchedulePayload::from_value(payload)?),
-            "sweep" => Payload::Sweep(SweepPayload::from_value(payload)?),
+            "routing" => Payload::Routing(RoutingPayload::from_raw(payload)?),
+            "schedule" => Payload::Schedule(SchedulePayload::from_raw(payload)?),
+            "sweep" => Payload::Sweep(SweepPayload::from_raw(payload)?),
             other => {
-                return Err(de::Error::custom(format!(
-                    "unknown certificate kind `{other}`"
-                )))
+                return Err(de::Error::custom(format!("unknown certificate kind `{other}`")).into())
             }
         };
         Ok(Certificate {
@@ -231,14 +229,200 @@ impl Deserialize for Certificate {
     }
 }
 
-/// Reads just the `version` field of a certificate [`Value`], so the
-/// verifier can distinguish "stale format" from "malformed" before
-/// attempting a full decode.
-pub fn peek_version(v: &Value) -> Option<u64> {
-    match v.get("version") {
-        Some(&Value::Int(i)) if i >= 0 => Some(i as u64),
-        Some(&Value::UInt(u)) => Some(u),
+/// Reads just the `version` member of a certificate's top-level object, so
+/// the verifier can tell "stale format" from "malformed" before a full
+/// decode. Only a non-negative integer counts.
+pub fn peek_version(f: &mut Fields<'_>) -> Option<u64> {
+    let version = f.get("version").ok()??;
+    if version.kind() != "integer" {
+        return None;
+    }
+    match version.value().ok()? {
+        Value::Int(i) if i >= 0 => Some(i as u64),
+        Value::UInt(u) => Some(u),
         _ => None,
+    }
+}
+
+/// The embedded coefficients as the JSON object `Matrix`'s `Serialize`
+/// renders: shape, then `"num/den"` strings in row-major order.
+struct Coeffs<'m>(&'m Matrix<Rational>);
+
+impl ToJson for Coeffs<'_> {
+    fn write_json(&self, out: &mut String) {
+        let m = self.0;
+        let data: Vec<String> = m.as_slice().iter().map(Rational::to_string).collect();
+        write_object(
+            out,
+            &[("rows", &m.rows()), ("cols", &m.cols()), ("data", &data)],
+        );
+    }
+}
+
+/// Decodes embedded coefficients as `Matrix`'s `Deserialize` does: a
+/// non-object has no members, so it fails on the missing `rows`.
+fn coeffs_from_raw(raw: Raw<'_>) -> Result<Matrix<Rational>, serde_json::Error> {
+    let mut f = raw.fields().unwrap_or_default();
+    let rows = f.decode("rows")?;
+    let cols = f.decode("cols")?;
+    let data = f.decode_vec("data")?;
+    Ok(Matrix::try_from_vec(rows, cols, data)
+        .ok_or_else(|| de::Error::custom("matrix shape/data mismatch"))?)
+}
+
+impl ToJson for BaseSpec {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("name", &self.name),
+                ("n0", &self.n0),
+                ("enc_a", &Coeffs(&self.enc_a)),
+                ("enc_b", &Coeffs(&self.enc_b)),
+                ("dec", &Coeffs(&self.dec)),
+            ],
+        );
+    }
+}
+
+impl BaseSpec {
+    fn from_raw(raw: Raw<'_>) -> Result<BaseSpec, serde_json::Error> {
+        let mut f = raw.fields()?;
+        Ok(BaseSpec {
+            name: f.decode("name")?,
+            n0: f.decode("n0")?,
+            enc_a: coeffs_from_raw(f.field("enc_a")?)?,
+            enc_b: coeffs_from_raw(f.field("enc_b")?)?,
+            dec: coeffs_from_raw(f.field("dec")?)?,
+        })
+    }
+}
+
+impl ToJson for RoutingPayload {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("k", &self.k),
+                ("r", &self.r),
+                ("bound", &self.bound),
+                ("max_vertex_hits", &self.max_vertex_hits),
+                ("max_meta_hits", &self.max_meta_hits),
+                ("paths", &self.paths),
+                ("copy_prefixes", &self.copy_prefixes),
+            ],
+        );
+    }
+}
+
+impl RoutingPayload {
+    fn from_raw(raw: Raw<'_>) -> Result<RoutingPayload, serde_json::Error> {
+        let mut f = raw.fields()?;
+        Ok(RoutingPayload {
+            k: f.decode("k")?,
+            r: f.decode("r")?,
+            bound: f.decode("bound")?,
+            max_vertex_hits: f.decode("max_vertex_hits")?,
+            max_meta_hits: f.decode("max_meta_hits")?,
+            paths: f.decode_nested("paths")?,
+            copy_prefixes: f.decode_vec("copy_prefixes")?,
+        })
+    }
+}
+
+impl ToJson for SchedulePayload {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("r", &self.r),
+                ("m", &self.m),
+                ("ops", &self.ops),
+                ("vertices", &self.vertices),
+                ("loads", &self.loads),
+                ("stores", &self.stores),
+                ("computes", &self.computes),
+                ("peak_occupancy", &self.peak_occupancy),
+                ("res_vertex", &self.res_vertex),
+                ("res_start", &self.res_start),
+                ("res_end", &self.res_end),
+            ],
+        );
+    }
+}
+
+impl SchedulePayload {
+    fn from_raw(raw: Raw<'_>) -> Result<SchedulePayload, serde_json::Error> {
+        let mut f = raw.fields()?;
+        Ok(SchedulePayload {
+            r: f.decode("r")?,
+            m: f.decode("m")?,
+            ops: f.decode("ops")?,
+            vertices: f.decode_vec("vertices")?,
+            loads: f.decode("loads")?,
+            stores: f.decode("stores")?,
+            computes: f.decode("computes")?,
+            peak_occupancy: f.decode("peak_occupancy")?,
+            res_vertex: f.decode_vec("res_vertex")?,
+            res_start: f.decode_vec("res_start")?,
+            res_end: f.decode_vec("res_end")?,
+        })
+    }
+}
+
+impl ToJson for SweepPayload {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("r", &self.r),
+                ("policy", &self.policy),
+                ("ms", &self.ms),
+                ("feasible", &self.feasible),
+                ("loads", &self.loads),
+                ("stores", &self.stores),
+                ("computes", &self.computes),
+            ],
+        );
+    }
+}
+
+impl SweepPayload {
+    fn from_raw(raw: Raw<'_>) -> Result<SweepPayload, serde_json::Error> {
+        let mut f = raw.fields()?;
+        Ok(SweepPayload {
+            r: f.decode("r")?,
+            policy: f.decode("policy")?,
+            ms: f.decode_vec("ms")?,
+            feasible: f.decode_vec("feasible")?,
+            loads: f.decode_vec("loads")?,
+            stores: f.decode_vec("stores")?,
+            computes: f.decode_vec("computes")?,
+        })
+    }
+}
+
+impl ToJson for Payload {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Payload::Routing(p) => p.write_json(out),
+            Payload::Schedule(p) => p.write_json(out),
+            Payload::Sweep(p) => p.write_json(out),
+        }
+    }
+}
+
+impl ToJson for Certificate {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("version", &self.version),
+                ("kind", &self.payload.kind()),
+                ("base", &self.base),
+                ("payload", &self.payload),
+            ],
+        );
     }
 }
 
@@ -272,7 +456,7 @@ mod tests {
             }),
         );
         let json = cert.to_json();
-        let back: Certificate = serde_json::from_str(&json).unwrap();
+        let back = Certificate::from_json(&json).unwrap();
         assert_eq!(back.to_json(), json, "serialization must be a fixpoint");
         assert_eq!(back.version, FORMAT_VERSION);
         match back.payload {
@@ -299,7 +483,7 @@ mod tests {
                 res_end: vec![3, 3],
             }),
         );
-        let back: Certificate = serde_json::from_str(&sched.to_json()).unwrap();
+        let back = Certificate::from_json(&sched.to_json()).unwrap();
         assert_eq!(back.payload.kind(), "schedule");
 
         let sweep = Certificate::new(
@@ -314,7 +498,7 @@ mod tests {
                 computes: vec![0, 3],
             }),
         );
-        let back: Certificate = serde_json::from_str(&sweep.to_json()).unwrap();
+        let back = Certificate::from_json(&sweep.to_json()).unwrap();
         assert_eq!(back.payload.kind(), "sweep");
     }
 
@@ -334,14 +518,30 @@ mod tests {
         )
         .to_json();
         cert_json = cert_json.replace("\"sweep\"", "\"oracle\"");
-        assert!(serde_json::from_str::<Certificate>(&cert_json).is_err());
+        assert_eq!(
+            Certificate::from_json(&cert_json).unwrap_err().to_string(),
+            "unknown certificate kind `oracle`"
+        );
     }
 
     #[test]
     fn peek_version_reads_envelope_only() {
-        let v: Value = serde_json::from_str(r#"{"version": 7, "junk": []}"#).unwrap();
-        assert_eq!(peek_version(&v), Some(7));
-        let v: Value = serde_json::from_str(r#"{"nope": 1}"#).unwrap();
-        assert_eq!(peek_version(&v), None);
+        let peek = |s: &str| peek_version(&mut Raw::parse(s).unwrap().fields().unwrap());
+        assert_eq!(peek(r#"{"version": 7, "junk": []}"#), Some(7));
+        assert_eq!(peek(r#"{"version": 7, "version": -1}"#), Some(7));
+        assert_eq!(peek(r#"{"nope": 1}"#), None);
+        assert_eq!(peek(r#"{"version": -1}"#), None);
+        assert_eq!(peek(r#"{"version": 1.0}"#), None);
+        assert_eq!(peek(r#"{"version": [1]}"#), None);
+    }
+
+    #[test]
+    fn non_object_documents_miss_the_version() {
+        for doc in ["[]", "1", "\"certificate\"", "null"] {
+            assert_eq!(
+                Certificate::from_json(doc).unwrap_err().to_string(),
+                "missing field `version`"
+            );
+        }
     }
 }

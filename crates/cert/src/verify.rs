@@ -126,37 +126,41 @@ impl Ctx {
 }
 
 /// Verifies a serialized certificate. Parse failures and stale versions are
-/// rejected without attempting a full decode.
+/// rejected without attempting a full decode. The text is validated in one
+/// scan and the certificate decoded from slices of it; no `serde::Value`
+/// tree is built.
 pub fn verify_json(s: &str) -> Verdict {
-    let value: serde::Value = match serde_json::from_str(s) {
-        Ok(v) => v,
-        Err(e) => {
-            let mut ctx = Ctx::new();
-            ctx.reject(codes::V_MALFORMED, format!("JSON parse failure: {e}"));
-            return ctx.finish(0, "", "");
-        }
+    let doc = match serde_json::Raw::parse(s) {
+        Ok(doc) => doc,
+        Err(e) => return rejected(codes::V_MALFORMED, format!("JSON parse failure: {e}"), 0),
     };
-    let Some(version) = format::peek_version(&value) else {
-        let mut ctx = Ctx::new();
-        ctx.reject(codes::V_MALFORMED, "missing or non-integer `version` field");
-        return ctx.finish(0, "", "");
+    // A non-object document has no members, so no `version` either.
+    let mut fields = doc.fields().unwrap_or_default();
+    let Some(version) = format::peek_version(&mut fields) else {
+        return rejected(
+            codes::V_MALFORMED,
+            "missing or non-integer `version` field",
+            0,
+        );
     };
     if version != FORMAT_VERSION as u64 {
-        let mut ctx = Ctx::new();
-        ctx.reject(
+        return rejected(
             codes::V_VERSION,
             format!("certificate has format version {version}, verifier supports {FORMAT_VERSION}"),
+            version,
         );
-        return ctx.finish(version, "", "");
     }
-    match Certificate::from_value(&value) {
+    match Certificate::from_fields(&mut fields) {
         Ok(cert) => verify(&cert),
-        Err(e) => {
-            let mut ctx = Ctx::new();
-            ctx.reject(codes::V_MALFORMED, format!("decode failure: {e}"));
-            ctx.finish(version, "", "")
-        }
+        Err(e) => rejected(codes::V_MALFORMED, format!("decode failure: {e}"), version),
     }
+}
+
+/// The verdict of a certificate refused before decode: one rejection.
+fn rejected(code: &str, detail: impl Into<String>, format_version: u64) -> Verdict {
+    let mut ctx = Ctx::new();
+    ctx.reject(code, detail);
+    ctx.finish(format_version, "", "")
 }
 
 /// Verifies an in-memory certificate.

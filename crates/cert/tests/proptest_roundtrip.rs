@@ -17,8 +17,8 @@ fn cheap_bases() -> Vec<mmio_cdag::BaseGraph> {
 
 fn roundtrip_identity(cert: &Certificate, what: &str) {
     let json = cert.to_json();
-    let back: Certificate =
-        serde_json::from_str(&json).unwrap_or_else(|e| panic!("{what}: decode failed: {e}"));
+    let back =
+        Certificate::from_json(&json).unwrap_or_else(|e| panic!("{what}: decode failed: {e}"));
     assert_eq!(
         back.to_json(),
         json,

@@ -43,6 +43,7 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::connectivity::classify;
 use mmio_cdag::serialize;
+use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
@@ -280,6 +281,23 @@ fn cache_too_small(e: CacheTooSmall) -> CliError {
     ))
 }
 
+/// The usage error for a depth whose `G_r` has more vertices than the
+/// `u32` ids every engine and the certificate verifier index it by. Checked
+/// once, before any work, for every command that takes a depth; worded like
+/// the too-small-`M` check.
+fn check_depth(base: &BaseGraph, r: u32) -> Result<(), CliError> {
+    let n = count_vertices(base.a() as u64, base.b() as u64, r);
+    if n.is_some_and(|n| n <= u64::from(u32::MAX)) {
+        return Ok(());
+    }
+    let n = n.map_or_else(|| "over 2^64".to_string(), |n| n.to_string());
+    Err(CliError::Usage(format!(
+        "r = {r} overflows the vertex ids: G_{r} of '{}' has {n} vertices (need ≤ {})",
+        base.name(),
+        u32::MAX
+    )))
+}
+
 /// Expands `mmio cert verify` operands: directories become their sorted
 /// `*.json` entries, files pass through.
 fn expand_cert_paths(operands: &[&String]) -> Result<Vec<std::path::PathBuf>, CliError> {
@@ -363,6 +381,7 @@ fn run() -> Result<ExitCode, CliError> {
         "simulate" => {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
+            check_depth(&base, r)?;
             let m: usize = parse(args.get(3), "M")?;
             let v = IndexView::from_base(&base, r);
             let vg = ViewGraph::from_view(&v);
@@ -383,6 +402,7 @@ fn run() -> Result<ExitCode, CliError> {
         "certify" => {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
+            check_depth(&base, r)?;
             let m: u64 = parse(args.get(3), "M")?;
             // Rendered by the same function the serve tier uses, so a serve
             // `certify` response is byte-identical to this output.
@@ -391,6 +411,20 @@ fn run() -> Result<ExitCode, CliError> {
         "routing" => {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
+            check_depth(&base, k)?;
+            // Optional third argument r: the depth of G_r the routing class
+            // is transported into (Fact 1), checked before any work.
+            let transport_r = match args.get(3) {
+                Some(rarg) => {
+                    let r: u32 = rarg.parse().map_err(|_| "invalid r")?;
+                    if r < k {
+                        return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
+                    }
+                    check_depth(&base, r)?;
+                    Some(r)
+                }
+                None => None,
+            };
             let g = build_cdag(&base, k);
             let routing = InOutRouting::new(&g).ok_or_else(|| {
                 CliError::Verification(
@@ -410,14 +444,10 @@ fn run() -> Result<ExitCode, CliError> {
                     "VIOLATED"
                 }
             );
-            // Optional third argument r: build the routing *class* once and
-            // transport it into every copy of G_k inside G_r (Fact 1),
-            // re-verifying each copy against the real G_r edges.
-            if let Some(rarg) = args.get(3) {
-                let r: u32 = rarg.parse().map_err(|_| "invalid r")?;
-                if r < k {
-                    return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
-                }
+            // With r: build the routing *class* once and transport it into
+            // every copy of G_k inside G_r (Fact 1), re-verifying each copy
+            // against the real G_r edges.
+            if let Some(r) = transport_r {
                 let class = RoutingClass::build(&base, k, &pool)
                     .expect("Hall matching exists (verified above)");
                 let tr = verify_copies(&IndexView::from_base(&base, r), &class, &pool);
@@ -442,6 +472,7 @@ fn run() -> Result<ExitCode, CliError> {
         "report" => {
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
+            check_depth(&base, r)?;
             let m: u64 = parse(args.get(3), "M")?;
             let routing_k = if base.a() >= 16 { 1 } else { 2 };
             let report =
@@ -463,6 +494,11 @@ fn run() -> Result<ExitCode, CliError> {
             } else {
                 vec![resolve(target)?]
             };
+            if let Some(r) = explicit_r {
+                for base in &bases {
+                    check_depth(base, r)?;
+                }
+            }
             // Flatten the (algorithm, r) targets, fan the analyses out over
             // the pool, and consume results in target order — so the output
             // is byte-identical to the serial loop at any thread count.
@@ -601,6 +637,9 @@ fn run() -> Result<ExitCode, CliError> {
                     } else {
                         vec![resolve(target)?]
                     };
+                    for base in &bases {
+                        check_depth(base, r)?;
+                    }
                     std::fs::create_dir_all(&out_dir)
                         .map_err(|e| CliError::io(out_dir.display(), e))?;
                     let mut written = Vec::new();
@@ -775,6 +814,7 @@ fn run() -> Result<ExitCode, CliError> {
             use mmio_parallel::distsim::{MachineModel, Topology};
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
+            check_depth(&base, k)?;
             let json = args.iter().any(|a| a == "--json");
             let flag_value = |name: &str| -> Option<&String> {
                 args.iter()

@@ -346,6 +346,41 @@ fn too_small_cache_is_a_usage_error() {
 }
 
 #[test]
+fn depth_beyond_the_vertex_ids_is_a_usage_error() {
+    // G_11 of Strassen has 13 824 509 985 vertices and G_99 overflows u64;
+    // neither fits the u32 vertex ids, so every command that takes a depth
+    // refuses it up front (exit 2, no stdout, no files) instead of panicking.
+    let dir = std::env::temp_dir().join(format!("mmio_cli_deep_{}", std::process::id()));
+    let out_dir = dir.to_str().unwrap();
+    for (r, count) in [("11", "13824509985"), ("99", "over 2^64")] {
+        for args in [
+            &["certify", "strassen", r, "64"][..],
+            &["simulate", "strassen", r, "64"][..],
+            &["report", "strassen", r, "64"][..],
+            &["routing", "strassen", r][..],
+            &["routing", "strassen", "1", r][..],
+            &["analyze", "strassen", r][..],
+            &["distsim", "strassen", r][..],
+            &["cert", "emit", "strassen", r, "--out", out_dir][..],
+        ] {
+            let out = mmio(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(
+                stderr.contains(&format!(
+                    "error: r = {r} overflows the vertex ids: G_{r} of 'strassen' has \
+                     {count} vertices (need ≤ 4294967295)"
+                )),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(!dir.exists(), "no output directory is created");
+}
+
+#[test]
 fn cert_emit_at_r0_is_a_usage_error() {
     // Every certificate over G_0 fails verification, so emit refuses up
     // front (exit 2) instead of writing any file.

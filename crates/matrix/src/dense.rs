@@ -182,6 +182,15 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+impl<T> Matrix<T> {
+    /// Like [`Matrix::from_vec`], but `None` instead of a panic when
+    /// `data.len() != rows * cols`, including when `rows * cols` overflows:
+    /// the constructor for untrusted shapes.
+    pub fn try_from_vec(rows: usize, cols: usize, data: Vec<T>) -> Option<Matrix<T>> {
+        (rows.checked_mul(cols) == Some(data.len())).then_some(Matrix { rows, cols, data })
+    }
+}
+
 impl Matrix<f64> {
     /// Maximum absolute entrywise difference, for float comparisons.
     pub fn max_abs_diff(&self, other: &Matrix<f64>) -> f64 {
@@ -362,11 +371,8 @@ impl<T: serde::Deserialize> serde::Deserialize for Matrix<T> {
         let rows = usize::from_value(field("rows")?)?;
         let cols = usize::from_value(field("cols")?)?;
         let data = Vec::<T>::from_value(field("data")?)?;
-        // checked_mul: rows/cols are untrusted, and rows*cols may overflow.
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(serde::de::Error::custom("matrix shape/data mismatch"));
-        }
-        Ok(Matrix { rows, cols, data })
+        Matrix::try_from_vec(rows, cols, data)
+            .ok_or_else(|| serde::de::Error::custom("matrix shape/data mismatch"))
     }
 }
 
