@@ -35,7 +35,7 @@ fn model_size_snapshot() {
     let s = outcome().stats;
     assert_eq!(
         (s.files, s.fns, s.edges, s.sites),
-        (190, 1989, 5224, 2879),
+        (188, 2007, 5073, 2823),
         "model/graph size drifted: files={}, fns={}, edges={}, sites={}",
         s.files,
         s.fns,

@@ -232,16 +232,24 @@ mod tests {
 
     #[test]
     fn view_certificate_matches_explicit() {
+        use mmio_algos::strassen::winograd;
         use mmio_cdag::IndexView;
-        let base = strassen();
-        let g = build_cdag(&base, 3);
-        let order = orders::recursive_order(&g);
         let pool = mmio_parallel::Pool::serial();
-        for m in [2u64, 6] {
-            let explicit = certify_pooled(&base, &g, m, &order, CertifyParams::SMALL, &pool);
-            let view = IndexView::from_base(&base, 3);
-            let implicit = certify_pooled(&base, &view, m, &order, CertifyParams::SMALL, &pool);
-            assert_eq!(format!("{explicit:?}"), format!("{implicit:?}"));
+        for (base, r, ms) in [
+            (strassen(), 3, &[2u64, 6][..]),
+            (winograd(), 3, &[2, 6]),
+            (strassen(), 4, &[64]),
+            (winograd(), 4, &[64]),
+        ] {
+            let g = build_cdag(&base, r);
+            let order = orders::recursive_order(&g);
+            let view = IndexView::from_base(&base, r);
+            for &m in ms {
+                let explicit = certify_pooled(&base, &g, m, &order, CertifyParams::SMALL, &pool);
+                let implicit = certify_pooled(&base, &view, m, &order, CertifyParams::SMALL, &pool);
+                let ctx = format!("{} r={r} M={m}", base.name());
+                assert_eq!(format!("{explicit:?}"), format!("{implicit:?}"), "{ctx}");
+            }
         }
     }
 

@@ -460,7 +460,7 @@ mod tests {
         let serial_pool = Pool::serial();
         let class = RoutingClass::build(&base, 1, &serial_pool).unwrap();
         let serial = verify_transported(&g, &class, &serial_pool);
-        for threads in [2, 8] {
+        for threads in [2, 4, 8] {
             let pool = Pool::new(threads);
             let par = verify_transported(&g, &class, &pool);
             assert_eq!(

@@ -3,8 +3,8 @@
 //! playbook): per-rank `Vec<bool>` residency bitmaps and per-vertex LRU
 //! stamp vectors, O(P·V) state. Slow and memory-hungry at thousands of
 //! ranks, but simple enough to trust by inspection. The contract —
-//! enforced by `crates/check/tests/distsim_conservation.rs`, the
-//! proptest suite, and `exp_perf_distsim` — is that on every instance
+//! enforced by `crates/check/tests/distsim_conservation.rs` and
+//! `crates/parallel/tests/proptest_distsim.rs` — is that on every instance
 //! both engines can run, totals *and* the traced event stream are
 //! identical.
 

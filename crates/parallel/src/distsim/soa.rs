@@ -24,7 +24,7 @@
 //!   stream, independent of sharding and thread count.
 //!
 //! State is O(threads·min(M, work) + V): shards process their ranks
-//! sequentially, reusing one slot arena (vertex/prev/next/chain arrays,
+//! sequentially, reusing one slot arena (one [`Slot`] record per slot,
 //! sized by the shard's largest per-rank touch bound, never more than
 //! M) and one chained-hash residency table (cleared per rank).
 
@@ -36,20 +36,26 @@ use mmio_cdag::{CdagView, VertexId};
 
 const NONE: u32 = u32::MAX;
 
+/// One cache slot: the vertex it holds, its LRU links and its hash chain
+/// link, side by side so a touch reads one record.
+#[derive(Clone, Copy)]
+struct Slot {
+    vertex: u32,
+    /// LRU list: towards most-recent.
+    prev: u32,
+    /// LRU list: towards least-recent.
+    next: u32,
+    /// Hash chain successor.
+    chain: u32,
+}
+
 /// One rank's cache: a fixed slot arena threaded by an intrusive LRU
 /// list, with a chained hash table for O(1) residency lookup. Reused
 /// across ranks within a shard via [`RankCache::reset`].
 struct RankCache {
     /// Semantic capacity (the model's M): evict when `len` reaches it.
     limit: usize,
-    /// Vertex held by each slot.
-    vertex: Vec<u32>,
-    /// LRU list: towards most-recent.
-    prev: Vec<u32>,
-    /// LRU list: towards least-recent.
-    next: Vec<u32>,
-    /// Hash chain successor per slot.
-    chain: Vec<u32>,
+    slots: Vec<Slot>,
     /// Hash bucket heads (power-of-two length).
     buckets: Vec<u32>,
     /// `32 - log2(buckets.len())`, for Fibonacci bucket hashing.
@@ -67,10 +73,15 @@ impl RankCache {
         let nbuckets = (2 * slots).next_power_of_two();
         RankCache {
             limit,
-            vertex: vec![0; slots],
-            prev: vec![NONE; slots],
-            next: vec![NONE; slots],
-            chain: vec![NONE; slots],
+            slots: vec![
+                Slot {
+                    vertex: 0,
+                    prev: NONE,
+                    next: NONE,
+                    chain: NONE,
+                };
+                slots
+            ],
             buckets: vec![NONE; nbuckets],
             shift: 32 - nbuckets.trailing_zeros(),
             head: NONE,
@@ -95,34 +106,37 @@ impl RankCache {
     fn lookup(&self, v: u32) -> Option<u32> {
         let mut s = self.buckets[self.bucket(v)];
         while s != NONE {
-            if self.vertex[s as usize] == v {
+            if self.slots[s as usize].vertex == v {
                 return Some(s);
             }
-            s = self.chain[s as usize];
+            s = self.slots[s as usize].chain;
         }
         None
     }
 
     /// Unlinks `slot` from the LRU list (it must be linked).
     fn detach(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        let (p, n) = (
+            self.slots[slot as usize].prev,
+            self.slots[slot as usize].next,
+        );
         if p == NONE {
             self.head = n;
         } else {
-            self.next[p as usize] = n;
+            self.slots[p as usize].next = n;
         }
         if n == NONE {
             self.tail = p;
         } else {
-            self.prev[n as usize] = p;
+            self.slots[n as usize].prev = p;
         }
     }
 
     fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NONE;
-        self.next[slot as usize] = self.head;
+        self.slots[slot as usize].prev = NONE;
+        self.slots[slot as usize].next = self.head;
         if self.head != NONE {
-            self.prev[self.head as usize] = slot;
+            self.slots[self.head as usize].prev = slot;
         }
         self.head = slot;
         if self.tail == NONE {
@@ -142,17 +156,17 @@ impl RankCache {
         let slot = self.tail;
         debug_assert!(slot != NONE);
         self.detach(slot);
-        let v = self.vertex[slot as usize];
+        let v = self.slots[slot as usize].vertex;
         // Unlink from its hash chain.
         let b = self.bucket(v);
         let mut s = self.buckets[b];
         if s == slot {
-            self.buckets[b] = self.chain[slot as usize];
+            self.buckets[b] = self.slots[slot as usize].chain;
         } else {
-            while self.chain[s as usize] != slot {
-                s = self.chain[s as usize];
+            while self.slots[s as usize].chain != slot {
+                s = self.slots[s as usize].chain;
             }
-            self.chain[s as usize] = self.chain[slot as usize];
+            self.slots[s as usize].chain = self.slots[slot as usize].chain;
         }
         self.len -= 1;
         (slot, v)
@@ -160,9 +174,9 @@ impl RankCache {
 
     /// Inserts `v` into `slot` (slot is free) as most-recent.
     fn insert(&mut self, slot: u32, v: u32) {
-        self.vertex[slot as usize] = v;
+        self.slots[slot as usize].vertex = v;
         let b = self.bucket(v);
-        self.chain[slot as usize] = self.buckets[b];
+        self.slots[slot as usize].chain = self.buckets[b];
         self.buckets[b] = slot;
         self.push_front(slot);
         self.len += 1;
@@ -235,12 +249,12 @@ fn run_shard<V: CdagView>(
     lo: usize,
     hi: usize,
     m: usize,
+    maxdeg: usize,
     machine: Option<&MachineModel>,
     rounds: usize,
     traced: bool,
 ) -> ShardOut {
     let p = a.p as usize;
-    let maxdeg = g.max_indegree();
     let mut out = ShardOut {
         sent: vec![0; p],
         received: vec![0; hi - lo],
@@ -270,7 +284,6 @@ fn run_shard<V: CdagView>(
             preds.clear();
             g.preds_into(v, &mut preds);
             for &op in &preds {
-                let owner = a.of(op);
                 touch(
                     g,
                     &mut cache,
@@ -280,7 +293,7 @@ fn run_shard<V: CdagView>(
                     me,
                     op.0,
                     true,
-                    Some(owner),
+                    Some(a),
                 );
             }
             if !preds.is_empty() {
@@ -308,7 +321,8 @@ fn round_of<V: CdagView>(g: &V, v: u32) -> usize {
 
 /// The SoA counterpart of the reference engine's `touch`, operating on
 /// rank `me`'s (shard-local) cache. Same event order on a miss:
-/// `Evict?`, `Send`+`Recv` (remote only), `Insert`.
+/// `Evict?`, `Send`+`Recv` (remote only), `Insert`. `from` is set for an
+/// operand touch; its owner is looked up only on a miss.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn touch<V: CdagView>(
@@ -320,7 +334,7 @@ fn touch<V: CdagView>(
     me: u32,
     v: u32,
     charge: bool,
-    from: Option<u32>,
+    from: Option<&Assignment>,
 ) {
     if let Some(slot) = cache.lookup(v) {
         cache.touch_hit(slot);
@@ -339,7 +353,8 @@ fn touch<V: CdagView>(
     } else {
         cache.len // bump allocation: slots 0..len are live
     };
-    if let Some(owner) = from {
+    if let Some(a) = from {
+        let owner = a.of(VertexId(v));
         if owner != me {
             // The word came over the network.
             out.sent[owner as usize] += 1;
@@ -386,7 +401,10 @@ pub(super) fn run_soa<V: CdagView + Sync>(
     traced: bool,
     pool: &Pool,
 ) -> (DistOutcome, Option<DistTrace>) {
-    let need = g.max_indegree() + 1;
+    // `max_indegree` is an O(V) scan on a materialized `Cdag`: take it
+    // once here, not once per shard.
+    let maxdeg = g.max_indegree();
+    let need = maxdeg + 1;
     assert!(m >= need, "local cache {m} cannot hold operands ({need})");
     if let Some(mm) = &machine {
         mm.topo.validate(a.p).expect("topology fits rank count");
@@ -401,7 +419,18 @@ pub(super) fn run_soa<V: CdagView + Sync>(
 
     let outs: Vec<ShardOut> = pool.map(shards, |s| {
         let (lo, hi) = bounds[s];
-        run_shard(g, a, &rs, lo, hi, m, machine.as_ref(), rounds, traced)
+        run_shard(
+            g,
+            a,
+            &rs,
+            lo,
+            hi,
+            m,
+            maxdeg,
+            machine.as_ref(),
+            rounds,
+            traced,
+        )
     });
 
     // Merge counters (index-ordered, shard-count-independent: sums and

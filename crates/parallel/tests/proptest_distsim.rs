@@ -7,9 +7,12 @@
 //!   counters, and event stream byte-for-byte, and
 //! - the contended makespan (with β ≥ 1) dominates the uncontended
 //!   critical-path word count, without perturbing any word counter.
+//!
+//! One fixed test runs the first contract, plus pooled ≡ serial, over the
+//! whole registry.
 
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::Cdag;
+use mmio_cdag::{Cdag, CdagView};
 use mmio_parallel::assign::{
     all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank, Assignment,
 };
@@ -34,6 +37,34 @@ fn pick_assignment(g: &Cdag, p: u32, which: usize) -> (&'static str, Assignment)
         1 => ("block_per_rank", block_per_rank(g, p)),
         2 => ("by_top_subproblem", by_top_subproblem(g, p)),
         _ => ("all_on_one", all_on_one(g, p)),
+    }
+}
+
+/// Every registry base at `r = 1` on 4 ranks, under each assignment and
+/// the contended ring model: the SoA engine reproduces the reference's
+/// totals, per-rank counters and event stream, and pooled stepping
+/// reproduces serial stepping, contention rounds included.
+#[test]
+fn soa_matches_reference_and_serial_across_the_registry() {
+    let mm = Some(MachineModel::new(Topology::Ring, 2, 1, 1));
+    for base in mmio_algos::registry::all_base_graphs() {
+        let g = build_cdag(&base, 1);
+        let order = recursive_order(&g);
+        let m = (g.max_indegree() + 1).max(16);
+        for which in 0..4 {
+            let (name, a) = pick_assignment(&g, 4, which);
+            let ctx = format!("{} r=1 p=4 {name}", base.name());
+            let serial = simulate_traced_on(&g, &a, &order, m, mm, &Pool::serial());
+            let slow = reference::simulate_traced(&g, &a, &order, m);
+            assert_eq!(serial.claimed, slow.claimed, "{ctx}: totals");
+            assert_eq!(serial.sent, slow.sent, "{ctx}: sent");
+            assert_eq!(serial.received, slow.received, "{ctx}: received");
+            assert_eq!(serial.events, slow.events, "{ctx}: events");
+            let pooled = simulate_traced_on(&g, &a, &order, m, mm, &Pool::new(4));
+            assert_eq!(pooled.claimed, serial.claimed, "{ctx}: pooled totals");
+            assert_eq!(pooled.events, serial.events, "{ctx}: pooled events");
+            assert_eq!(pooled.contention, serial.contention, "{ctx}: pooled rounds");
+        }
     }
 }
 

@@ -11,8 +11,9 @@
 //!
 //! The fast engine must produce identical [`IoStats`], an identical recorded
 //! [`Schedule`], and an identical eviction sequence for every policy — see
-//! the equivalence proptests in `crates/pebble/tests/engine_equivalence.rs`
-//! and the `exp_perf_pebble` bench, which asserts the contract on every run.
+//! the equivalence tests in `crates/pebble/tests/engine_equivalence.rs`
+//! (random bases, plus a fixed Strassen `r = 3` grid) and the unit tests of
+//! [`crate::auto`].
 
 use super::CacheTooSmall;
 use crate::policy::ReplacementPolicy;

@@ -65,6 +65,39 @@ fn make_policy(g: &Cdag, which: usize, seed: u64) -> Box<dyn ReplacementPolicy> 
     }
 }
 
+/// The contract on one instance: stats, recorded schedule and victim
+/// sequence match the reference, and the schedule replays through the
+/// strict simulator with exactly the stats the engine reported.
+fn assert_matches_reference(
+    g: &Cdag,
+    order: &[VertexId],
+    m: usize,
+    policy_kind: usize,
+    policy_seed: u64,
+) {
+    let ctx = format!("n={} M={m} policy={policy_kind}", g.n());
+    let mut scratch = SchedScratch::new();
+    scratch.prepare(g, order);
+    let fast = AutoScheduler::new(g, m).run_prepared(
+        order,
+        &mut scratch,
+        make_policy(g, policy_kind, policy_seed).as_mut(),
+        RunOptions {
+            record_schedule: true,
+            record_victims: true,
+        },
+    );
+    let (ref_stats, ref_sched, ref_victims) = ReferenceScheduler::new(g, m)
+        .run_traced(order, make_policy(g, policy_kind, policy_seed).as_mut());
+
+    assert_eq!(fast.stats, ref_stats, "{ctx}: stats");
+    assert_eq!(fast.schedule.as_ref(), Some(&ref_sched), "{ctx}: schedule");
+    assert_eq!(fast.victims.as_ref(), Some(&ref_victims), "{ctx}: victims");
+    let replayed: IoStats = simulate(g, fast.schedule.as_ref().unwrap(), m)
+        .expect("fast-engine schedule must be valid");
+    assert_eq!(replayed, fast.stats, "{ctx}: replay");
+}
+
 proptest! {
     #[test]
     fn fast_engine_is_observationally_identical_to_reference(
@@ -80,27 +113,19 @@ proptest! {
         let g = build_cdag(&base, r);
         let order = pick_order(&g, order_kind, order_seed);
         let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(0) + 1;
-        let m = need + m_extra;
+        assert_matches_reference(&g, &order, need + m_extra, policy_kind, policy_seed);
+    }
+}
 
-        let mut scratch = SchedScratch::new();
-        scratch.prepare(&g, &order);
-        let fast = AutoScheduler::new(&g, m).run_prepared(
-            &order,
-            &mut scratch,
-            make_policy(&g, policy_kind, policy_seed).as_mut(),
-            RunOptions { record_schedule: true, record_victims: true },
-        );
-        let (ref_stats, ref_sched, ref_victims) = ReferenceScheduler::new(&g, m)
-            .run_traced(&order, make_policy(&g, policy_kind, policy_seed).as_mut());
-
-        prop_assert_eq!(fast.stats, ref_stats);
-        prop_assert_eq!(fast.schedule.as_ref().unwrap(), &ref_sched);
-        prop_assert_eq!(fast.victims.as_ref().unwrap(), &ref_victims);
-
-        // Every recorded fast-engine schedule replays through the strict
-        // simulator with exactly the stats the engine reported.
-        let replayed: IoStats = simulate(&g, fast.schedule.as_ref().unwrap(), m)
-            .expect("fast-engine schedule must be valid");
-        prop_assert_eq!(replayed, fast.stats);
+/// The same contract on Strassen `r = 3` (2,145 vertices) in recursive
+/// order, for every policy at `M` = 8, 32 and 512.
+#[test]
+fn fast_engine_matches_reference_on_strassen_r3() {
+    let g = build_cdag(&mmio_algos::strassen::strassen(), 3);
+    let order = orders::recursive_order(&g);
+    for policy_kind in 0..3 {
+        for m in [8, 32, 512] {
+            assert_matches_reference(&g, &order, m, policy_kind, 5);
+        }
     }
 }

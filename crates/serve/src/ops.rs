@@ -5,7 +5,7 @@
 //! `mmio certify` prints [`certify`]; a serve `certify` response *is*
 //! [`certify`]. `mmio analyze <algo> <r> --json` prints
 //! [`analyze_json`]; a serve `analyze` response *is* [`analyze_json`].
-//! The fault harness and `exp_perf_serve` then enforce the equality
+//! The fault harness (`tests/fault_suite.rs`) then enforces the equality
 //! end-to-end (cold, warm, restarted, at 1/2/8 threads), which pins the
 //! cache layer too: a snapshot that survived a crash must still replay
 //! the exact batch bytes.

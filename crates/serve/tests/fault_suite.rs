@@ -409,16 +409,56 @@ fn reverify_failure_quarantines_forged_routing_cert() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Request `i` of the cycle the socket test plays: certify, analyze and
+/// sweep, all cacheable.
+fn cycled(id: u64, i: u64) -> Request {
+    let op = match i % 3 {
+        0 => return certify(id, None),
+        1 => Op::Analyze {
+            algo: "winograd".into(),
+            r: 1,
+        },
+        _ => Op::Sweep {
+            algo: "strassen".into(),
+            r: 1,
+            ms: vec![8, 16, 64],
+        },
+    };
+    Request {
+        id,
+        deadline_ms: None,
+        op,
+    }
+}
+
+/// The batch-CLI renderings of the [`cycled`] requests, in cycle order:
+/// the byte-identity oracle.
+fn batch_cycle_payloads() -> Vec<String> {
+    vec![
+        batch_certify_payload(),
+        ops::analyze_json(&ops::resolve_registry("winograd").unwrap(), 1).0,
+        ops::sweep_json(
+            &ops::resolve_registry("strassen").unwrap(),
+            1,
+            &[8, 16, 64],
+            &Pool::serial(),
+        ),
+    ]
+}
+
 #[test]
 fn concurrent_socket_clients_get_batch_identical_bytes() {
-    // End-to-end over the wire at concurrency 8, mixed cold/warm: every
-    // ok-response is byte-identical to the batch CLI rendering.
+    // End-to-end over the wire at concurrency 8, mixed cold/warm and mixed
+    // certify/analyze/sweep: every ok-response is byte-identical to the
+    // batch CLI rendering. A second pass, after the memo tier has every
+    // key, must be served from it entirely.
+    let dir = tmpdir("sock_memo");
     let sock = std::env::temp_dir().join(format!("mmio_faults_sock_{}.sock", std::process::id()));
     let (engine, _) = Engine::start(
         EngineConfig {
             workers: 4,
             queue_cap: 64,
-            ..cfg(None)
+            ..cfg(Some(dir.clone()))
         },
         Arc::new(NoFaults),
     )
@@ -426,25 +466,36 @@ fn concurrent_socket_clients_get_batch_identical_bytes() {
     let server = mmio_serve::Server::bind(&sock, Arc::new(engine)).unwrap();
     let h = std::thread::spawn(move || server.run().unwrap());
 
-    let expect = batch_certify_payload();
-    let clients: Vec<_> = (0..8)
-        .map(|c| {
-            let sock = sock.clone();
-            let expect = expect.clone();
-            std::thread::spawn(move || {
-                let mut client =
-                    mmio_serve::Client::connect_retry(&sock, Duration::from_secs(5)).unwrap();
-                for i in 0..4u64 {
-                    let resp = client.call(&certify(c * 100 + i, None)).unwrap();
-                    assert_eq!(resp.status, Status::Ok, "{resp:?}");
-                    assert_eq!(resp.payload.as_deref(), Some(expect.as_str()));
-                }
+    let expect = Arc::new(batch_cycle_payloads());
+    let pass = |clients: u64| -> Vec<bool> {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let sock = sock.clone();
+                let expect = Arc::clone(&expect);
+                std::thread::spawn(move || {
+                    let mut client =
+                        mmio_serve::Client::connect_retry(&sock, Duration::from_secs(5)).unwrap();
+                    let mut cached = Vec::new();
+                    for i in 0..6u64 {
+                        let resp = client.call(&cycled(c * 100 + i, i)).unwrap();
+                        assert_eq!(resp.status, Status::Ok, "{resp:?}");
+                        let want = expect[(i % 3) as usize].as_str();
+                        assert_eq!(resp.payload.as_deref(), Some(want), "request {i}");
+                        cached.push(resp.cached);
+                    }
+                    cached
+                })
             })
-        })
-        .collect();
-    for c in clients {
-        c.join().unwrap();
-    }
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    };
+    pass(8);
+    let warm = pass(2);
+    assert!(warm.iter().all(|&c| c), "warm pass recomputed: {warm:?}");
+
     let mut closer = mmio_serve::Client::connect_retry(&sock, Duration::from_secs(5)).unwrap();
     let bye = closer
         .call(&Request {
@@ -455,4 +506,5 @@ fn concurrent_socket_clients_get_batch_identical_bytes() {
         .unwrap();
     assert_eq!(bye.status, Status::Ok);
     h.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

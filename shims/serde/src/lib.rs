@@ -275,6 +275,17 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     }
 }
 
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_value(v: &Value) -> Result<Self, de::Error> {
+        match v {
+            Value::Array(items) if items.len() == 2 => {
+                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
+            }
+            other => type_error("a 2-element array", other),
+        }
+    }
+}
+
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
     fn to_value(&self) -> Value {
         Value::Array(vec![
@@ -310,6 +321,9 @@ mod tests {
         );
         let v: Vec<u32> = Deserialize::from_value(&vec![1u32, 2, 3].to_value()).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
+        let pair = ("x".to_string(), 1.5f64);
+        assert_eq!(<(String, f64)>::from_value(&pair.to_value()).unwrap(), pair);
+        assert!(<(u32, u32)>::from_value(&vec![1u32].to_value()).is_err());
     }
 
     #[test]
